@@ -148,6 +148,8 @@ def _load_scenarios(path: str) -> list[Scenario]:
 
 
 def _cmd_suite(args) -> int:
+    if args.jobs < 1:
+        raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
     if args.name in SUITES:
         report = run_suite(args.name, jobs=args.jobs, budget=args.budget)
         return _emit_report(report, args)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import FormatError
+
 DEFAULT_BUDGET = 5_000_000
 ENV_BUDGET = "GROWTHLAB_BUDGET"
 
@@ -13,5 +15,8 @@ def resolve_budget(budget: int | None = None) -> int:
         return budget
     env = os.environ.get(ENV_BUDGET)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise FormatError(f"{ENV_BUDGET} must be an integer, got {env!r}")
     return DEFAULT_BUDGET

@@ -14,14 +14,6 @@ from typing import Iterator
 
 from .errors import ParentMismatch
 
-_BIAS = 1 << 63  # offset-binary sign handling for unbounded entries
-
-
-def _encode_coords(coords: tuple[int, ...]) -> bytes:
-    # Fixed-width per coordinate; byte-lexicographic order equals numeric
-    # tuple order, so "minimal canonical encoding" is plain tuple order.
-    return b"".join((c + _BIAS).to_bytes(8, "big") for c in coords)
-
 
 class GroupDescriptor:
     """Common interface of the backends.  Instances are immutable and hashable."""
@@ -59,9 +51,6 @@ class GroupDescriptor:
         """A standard finite generating set."""
         raise NotImplementedError
 
-    def encode(self, coords) -> bytes:
-        return _encode_coords(coords)
-
     # convenience wrappers over Element
     def identity(self) -> "Element":
         return Element(self, self.identity_coords())
@@ -71,10 +60,6 @@ class GroupDescriptor:
 
     def generators(self) -> list["Element"]:
         return [Element(self, c) for c in self.generator_coords()]
-
-
-def _reduce_mod(c: int, m: int) -> int:
-    return c % m if m > 0 else c
 
 
 @dataclass(frozen=True)
@@ -97,16 +82,30 @@ class FiniteAbelian(GroupDescriptor):
     def structural_step(self) -> int:
         return 1
 
+    # The kernels below are the hot path of every set operation; the plain
+    # per-coordinate reference they must agree with is in tests/test_kernels.py.
     def reduce(self, coords):
-        if len(coords) != len(self.moduli):
-            raise ValueError(f"expected {len(self.moduli)} coordinates")
-        return tuple(_reduce_mod(c, m) for c, m in zip(coords, self.moduli))
+        moduli = self.moduli
+        if len(coords) != len(moduli):
+            raise ValueError(f"expected {len(moduli)} coordinates")
+        if len(moduli) == 1:
+            m = moduli[0]
+            return (coords[0] % m if m else coords[0],)
+        return tuple([c % m if m else c for c, m in zip(coords, moduli)])
 
     def mul(self, a, b):
-        return tuple(_reduce_mod(x + y, m) for x, y, m in zip(a, b, self.moduli))
+        moduli = self.moduli
+        if len(moduli) == 1:
+            m = moduli[0]
+            return ((a[0] + b[0]) % m if m else a[0] + b[0],)
+        return tuple([(x + y) % m if m else x + y for x, y, m in zip(a, b, moduli)])
 
     def inv(self, a):
-        return tuple(_reduce_mod(-x, m) for x, m in zip(a, self.moduli))
+        moduli = self.moduli
+        if len(moduli) == 1:
+            m = moduli[0]
+            return (-a[0] % m if m else -a[0],)
+        return tuple([-x % m if m else -x for x, m in zip(a, moduli)])
 
     def identity_coords(self):
         return (0,) * len(self.moduli)
@@ -180,36 +179,59 @@ class Unitriangular(GroupDescriptor):
     def structural_step(self) -> int:
         return self.n - 1
 
+    @cached_property
+    def _pair_table(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """(k, ((idx(i,t), idx(t,j)) for i < t < j)) per position k = (i, j).
+
+        Ordered by gap j - i, so `inv` can solve entry by entry; `mul`
+        fills entries by index and does not care about the order.
+        """
+        idx = self.pos_index
+        return tuple(
+            (idx[(i, i + gap)], tuple((idx[(i, t)], idx[(t, i + gap)]) for t in range(i + 1, i + gap)))
+            for gap in range(1, self.n)
+            for i in range(self.n - gap)
+        )
+
     def reduce(self, coords):
         if len(coords) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates")
         m = self.modulus
-        return tuple(_reduce_mod(c, m) for c in coords)
+        if m:
+            return tuple([c % m for c in coords])
+        return tuple(coords)
 
     def mul(self, a, b):
         m = self.modulus
-        idx = self.pos_index
-        out = []
-        for k, (i, j) in enumerate(self.positions):
+        if self.n == 3:
+            a0, a1, a2 = a
+            b0, b1, b2 = b
+            if m:
+                return ((a0 + b0) % m, (a1 + b1 + a0 * b2) % m, (a2 + b2) % m)
+            return (a0 + b0, a1 + b1 + a0 * b2, a2 + b2)
+        out = [0] * len(a)
+        for k, pairs in self._pair_table:
             v = a[k] + b[k]
-            for t in range(i + 1, j):
-                v += a[idx[(i, t)]] * b[idx[(t, j)]]
-            out.append(_reduce_mod(v, m))
+            for s, t in pairs:
+                v += a[s] * b[t]
+            out[k] = v % m if m else v
         return tuple(out)
 
     def inv(self, a):
-        # Solve (I + a)(I + e) = I entry by entry, shortest gaps first.
         m = self.modulus
-        idx = self.pos_index
-        e: dict[tuple[int, int], int] = {}
-        for gap in range(1, self.n):
-            for i in range(self.n - gap):
-                j = i + gap
-                v = -a[idx[(i, j)]]
-                for t in range(i + 1, j):
-                    v -= a[idx[(i, t)]] * e[(t, j)]
-                e[(i, j)] = _reduce_mod(v, m)
-        return tuple(e[p] for p in self.positions)
+        if self.n == 3:
+            a0, a1, a2 = a
+            if m:
+                return (-a0 % m, (a0 * a2 - a1) % m, -a2 % m)
+            return (-a0, a0 * a2 - a1, -a2)
+        # Solve (I + a)(I + e) = I entry by entry, shortest gaps first.
+        e = list(a)
+        for k, pairs in self._pair_table:
+            v = -a[k]
+            for s, t in pairs:
+                v -= a[s] * e[t]
+            e[k] = v % m if m else v
+        return tuple(e)
 
     def identity_coords(self):
         return (0,) * self.arity
@@ -374,9 +396,6 @@ class Element:
 
     def is_identity(self) -> bool:
         return self.coords == self.parent.identity_coords()
-
-    def encode(self) -> bytes:
-        return self.parent.encode(self.coords)
 
     def __eq__(self, other):
         return (

@@ -26,6 +26,8 @@ from .subgroups import SubgroupHandle
 
 
 def _require_commuting(A: GSet) -> None:
+    if A.parent.is_abelian():
+        return  # structural: members of an abelian parent always commute
     elems = list(A.elements())
     for a, b in itertools.combinations(elems, 2):
         if not commutator(a, b).is_identity():

@@ -253,7 +253,7 @@ def in_cyclic(parent, x_coords, w_coords) -> bool:
 
 @dataclass(frozen=True)
 class SectionMap:
-    """Minimal-encoding preimage choice φ: π(A) → A with verified defects."""
+    """Least-coordinate preimage choice φ: π(A) → A with verified defects."""
 
     quotient: QuotientView
     table: dict

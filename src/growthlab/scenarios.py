@@ -14,8 +14,8 @@ certificate produced along the way is re-checked against the growth law
 """
 from __future__ import annotations
 
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,9 +72,12 @@ class Scenario:
         try:
             if int(obj.get("schema", SCHEMA)) != SCHEMA:
                 raise FormatError(f"unsupported scenario schema {obj['schema']!r}")
-            return cls(str(obj["name"]), str(obj["recipe"]), tuple(dict(op) for op in obj["ops"]))
+            scenario = cls(str(obj["name"]), str(obj["recipe"]), tuple(dict(op) for op in obj["ops"]))
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"scenario object is malformed: {e}")
+        for op in scenario.ops:
+            _op_params(op)  # a malformed op fails the whole file before anything runs
+        return scenario
 
 
 @dataclass
@@ -126,6 +129,83 @@ class Report:
 
 
 # --------------------------------------------------------------------------
+# Op parameter schema
+
+_REQUIRED = object()  # the op cannot run without this key
+
+
+def _text(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {type(v).__name__}")
+    return v
+
+
+def _int_list(v) -> tuple[int, ...]:
+    return tuple(int(x) for x in str(v).split(","))
+
+
+def _one_of(*choices):
+    def check(v):
+        if v not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return v
+
+    return check
+
+
+_RECIPE = (_text, _REQUIRED)
+_RANK_MAX = (int, 3)
+
+# op name -> {parameter: (converter, default)}.  Defaults are not converted;
+# keys not listed pass through.
+_PARAMS = {
+    "stats": {"n": (int, 3)},
+    "certify": {},
+    "ruzsa": {"b": _RECIPE},
+    "chang": {"m": (int, 2), "b_size": (int, 3), "b_seed": (int, 0), "c0": (float, 8.0)},
+    "slice": {"b": _RECIPE, "m": (int, _REQUIRED), "n": (int, _REQUIRED)},
+    "chain": {
+        "gens": (lambda v: parse_coord_list(_text(v)), _REQUIRED),
+        "bounds": (_int_list, _REQUIRED),
+        "step": (int, None),
+    },
+    "plunnecke": {"limit": (int, 5), "mmax": (int, 4), "nmax": (int, 4)},
+    "hom": {"kind": (_one_of("lift", "dilate", "embed"), "lift"), "lam": (int, 2), "second": (int, 5)},
+    "oracle": {"rank_max": _RANK_MAX},
+    "sanders": {"rank_max": _RANK_MAX},
+    "section": {},
+    "pullback": {"take": (int, None), "m": (int, 1), "c": (lambda v: Fraction(str(v)), Fraction(1))},
+    "factorize": {"rank_max": _RANK_MAX},
+    "reduce": {"m": (int, 1), "rank_max": _RANK_MAX},
+    "decompose": {},
+    "corollary": {"which": (_one_of("ruzsa", "chang"), _REQUIRED)},
+}
+
+
+def _op_params(op) -> dict:
+    """An op's parameters, converted and with defaults filled in.
+
+    Unknown op names pass unchecked: running them records a failure.
+    Malformed parameters of a known op raise FormatError.
+    """
+    if not isinstance(op, dict) or not isinstance(op.get("op"), str):
+        raise FormatError(f"scenario op must be an object with an 'op' name, got {op!r}")
+    name = op["op"]
+    params = {k: v for k, v in op.items() if k != "op"}
+    for key, (convert, default) in _PARAMS.get(name, {}).items():
+        if key not in params:
+            if default is _REQUIRED:
+                raise FormatError(f"op {name!r} needs parameter {key!r}")
+            params[key] = default
+            continue
+        try:
+            params[key] = convert(params[key])
+        except (TypeError, ValueError, ArithmeticError, FormatError) as e:
+            raise FormatError(f"op {name!r}: bad {key!r} {params[key]!r}: {e}")
+    return params
+
+
+# --------------------------------------------------------------------------
 # Operation registry
 
 
@@ -140,7 +220,7 @@ def _need_cert(state, budget):
 
 
 def _op_stats(state, params, budget):
-    st = growth_stats(state["set"], int(params.get("n", 3)), budget)
+    st = growth_stats(state["set"], params["n"], budget)
     return {
         "sizes": list(st.sizes),
         "doubling": str(st.doubling),
@@ -173,12 +253,12 @@ def _op_ruzsa(state, params, budget):
 
 def _op_chang(state, params, budget):
     cert = _need_cert(state, budget)
-    m = int(params.get("m", 2))
+    m = params["m"]
     Am = power(state["set"], m, budget)
-    rng = random.Random(int(params.get("b_seed", 0)))
-    b_size = min(int(params.get("b_size", 3)), len(Am))
+    rng = random.Random(params["b_seed"])
+    b_size = min(params["b_size"], len(Am))
     B = GSet(state["set"].parent, rng.sample(Am.sorted_members(), b_size), _reduced=True)
-    cc = chang_cover(cert, B, m, float(params.get("c0", 8.0)), budget)
+    cc = chang_cover(cert, B, m, params["c0"], budget)
     cap = 2 * cert.K_upper
     return {
         "b_size": len(B),
@@ -196,7 +276,7 @@ def _op_slice(state, params, budget):
     certA = _need_cert(state, budget)
     B = generate_example(params["b"], budget)
     certB = greedy_cover_certificate(B, budget)
-    m, n = int(params["m"]), int(params["n"])
+    m, n = params["m"], params["n"]
     sc = slicing_cover(certA, certB, m, n, budget)
     return {
         "m": m,
@@ -212,10 +292,9 @@ def _op_slice(state, params, budget):
 
 def _op_chain(state, params, budget):
     parent = state["set"].parent
-    gens = tuple(Element(parent, c) for c in parse_coord_list(params["gens"]))
-    bounds = tuple(int(b) for b in str(params["bounds"]).split(","))
-    spec = ProgressionSpec(gens, bounds)
-    step = int(params["step"]) if "step" in params else None
+    gens = tuple(Element(parent, c) for c in params["gens"])
+    spec = ProgressionSpec(gens, params["bounds"])
+    step = params["step"]
     cc = verify_chain(spec, step, budget)
     return {
         "rank": spec.rank,
@@ -230,9 +309,8 @@ def _op_chain(state, params, budget):
 
 
 def _op_plunnecke(state, params, budget):
-    limit = int(params.get("limit", 5))
-    mmax, nmax = int(params.get("mmax", 4)), int(params.get("nmax", 4))
-    K, rows = sumset_growth_table(state["set"], mmax, nmax, budget)
+    limit = params["limit"]
+    K, rows = sumset_growth_table(state["set"], params["mmax"], params["nmax"], budget)
     checked = [r for r in rows if r.m + r.n <= limit]
     return {
         "K": str(K),
@@ -250,21 +328,19 @@ def _build_partial_map(A: GSet, params) -> PartialMap:
     if not isinstance(parent, FiniteAbelian) or len(parent.moduli) != 1:
         raise FormatError("hom construction needs a one-coordinate cyclic group")
     n = parent.moduli[0]
-    kind = params.get("kind", "lift")
+    kind = params["kind"]
     if kind == "lift":
         cod = FiniteAbelian((0,))
         return PartialMap.from_function(
             A, cod, lambda a: Element(cod, (_centred_rep(a.coords[0], n),))
         )
     if kind == "dilate":
-        lam = int(params.get("lam", 2))
+        lam = params["lam"]
         return PartialMap.from_function(
             A, parent, lambda a: Element(parent, parent.reduce((lam * a.coords[0],)))
         )
-    if kind == "embed":
-        cod = FiniteAbelian((n, int(params.get("second", 5))))
-        return PartialMap.from_function(A, cod, lambda a: Element(cod, (a.coords[0], 0)))
-    raise FormatError(f"unknown hom kind {kind!r}")
+    cod = FiniteAbelian((n, params["second"]))  # kind == "embed"
+    return PartialMap.from_function(A, cod, lambda a: Element(cod, (a.coords[0], 0)))
 
 
 def _op_hom(state, params, budget):
@@ -279,7 +355,7 @@ def _op_hom(state, params, budget):
         table[inv(a)] == cinv(table[a]) for a in A.members if inv(a) in table
     )
     rec = {
-        "kind": params.get("kind", "lift"),
+        "kind": params["kind"],
         "size": len(A),
         "centred": centred,
         "inverses_preserved": inverses_ok,
@@ -294,7 +370,7 @@ def _op_hom(state, params, budget):
 
 def _op_oracle(state, params, budget):
     A = state["set"]
-    res = find_coset_progression(A, int(params.get("rank_max", 3)), budget)
+    res = find_coset_progression(A, params["rank_max"], budget)
     D = difference_body(A, budget)
     state["oracle"] = res
     return {
@@ -310,7 +386,7 @@ def _op_oracle(state, params, budget):
 def _op_sanders(state, params, budget):
     A = state["set"]
     cert = _need_cert(state, budget)
-    res = state.get("oracle") or find_coset_progression(A, int(params.get("rank_max", 3)), budget)
+    res = state.get("oracle") or find_coset_progression(A, params["rank_max"], budget)
     sc = derive_sanders_cover(A, res, budget)
     k8_bound = Fraction(cert.K_upper) ** 8 * len(A)
     return {
@@ -362,14 +438,13 @@ def _op_pullback(state, params, budget):
     A = state["set"]
     q = _derived_quotient(A.parent, budget)
     piA = quotient_project(q, A)
-    take = int(params["take"]) if "take" in params else None
+    take = params["take"]
     P = (
         piA
         if take is None
         else GSet(q, piA.sorted_members()[:take], _reduced=True)
     )
-    m = int(params.get("m", 1))
-    c = Fraction(str(params.get("c", "1")))
+    m, c = params["m"], params["c"]
     rep = pullback_check(q, A, P, m, c, budget)
     return {
         "m": m,
@@ -384,7 +459,7 @@ def _op_factorize(state, params, budget):
     cert = _need_cert(state, budget)
     with_product = state["set"].parent.is_finite()
     fz = abelian_factorization(
-        cert, int(params.get("rank_max", 3)), budget, with_product=with_product
+        cert, params["rank_max"], budget, with_product=with_product
     )
     rec = {
         "r": fz.r,
@@ -400,7 +475,7 @@ def _op_factorize(state, params, budget):
 
 def _op_reduce(state, params, budget):
     cert = _need_cert(state, budget)
-    red = step_reduction(cert, cert, int(params.get("m", 1)), int(params.get("rank_max", 3)), budget)
+    red = step_reduction(cert, cert, params["m"], params["rank_max"], budget)
     return {
         "step_in": red.step_in,
         "r": red.r,
@@ -423,7 +498,7 @@ def _op_decompose(state, params, budget):
 
 def _op_corollary(state, params, budget):
     if "dec" not in state:
-        _op_decompose(state, {}, budget)
+        _op_decompose(state, _op_params({"op": "decompose"}), budget)
     which = params["which"]
     rep = corollary_covers(state["dec"], state["cert"], which, budget)
     if which == "ruzsa":
@@ -491,7 +566,7 @@ def run_scenario(scenario: Scenario, budget: int | None = None) -> Report:
     state = {"set": generate_example(scenario.recipe, budget)}
     for op in scenario.ops:
         name = op.get("op")
-        params = {k: v for k, v in op.items() if k != "op"}
+        params = _op_params(op)
         rec = {"op": name, "scenario": scenario.name}
         if name not in _OPS:
             rec.update({"passed": False, "error": f"unknown op {name!r}"})
@@ -705,15 +780,30 @@ def _run_scenario_obj(args: tuple[dict, int | None]) -> dict:
     return run_scenario(Scenario.from_obj(obj), budget).to_obj()
 
 
+def worker_count(jobs: int, tasks: int, cpus: int | None = None) -> int:
+    """Worker processes for `tasks` independent scenarios.
+
+    Never more than asked for, than there are tasks, or than CPUs
+    (`cpus`, default os.cpu_count()); jobs below 1 are malformed input.
+    """
+    if jobs < 1:
+        raise FormatError(f"jobs must be at least 1, got {jobs}")
+    return max(1, min(jobs, tasks, cpus or os.cpu_count() or 1))
+
+
 def run_suite(name: str, jobs: int = 1, budget: int | None = None) -> Report:
     """Run one builtin suite; cases are independent and merge in order."""
     if name not in SUITES:
         raise FormatError(f"unknown suite {name!r} (have: {', '.join(sorted(SUITES))})")
     scenarios = SUITES[name]()
+    workers = worker_count(jobs, len(scenarios))
     merged = Report(name)
-    if jobs > 1:
+    if workers > 1:
+        # Imported here: multiprocessing costs every other caller ~2 MB RSS.
+        from concurrent.futures import ProcessPoolExecutor
+
         payload = [(s.to_obj(), budget) for s in scenarios]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_scenario_obj, payload))
         for obj in results:
             merged.records.extend(obj["records"])

@@ -233,7 +233,7 @@ class QuotientView:
     """G/K presented on canonical coset representatives.
 
     Wraps a base descriptor and a finite kernel subgroup; every coset is
-    represented by its minimal canonical encoding, and arithmetic reduces
+    represented by its least canonical coordinate tuple, and arithmetic reduces
     through the base group.  Valid on elements of any subgroup in which the
     kernel is normal (tracked via the kernel's normality verdict).
     """
@@ -258,12 +258,20 @@ class QuotientView:
         return self.base.structural_step
 
     def reduce(self, coords):
+        # Cache keys are canonical base coordinates, so a hit on the raw input
+        # is exact; base arithmetic already returns canonical tuples, which
+        # keeps base.reduce off the hot path of mul and inv.
+        cache = self._rep_cache
+        if type(coords) is tuple:
+            r = cache.get(coords)
+            if r is not None:
+                return r
         c = self.base.reduce(tuple(coords))
-        r = self._rep_cache.get(c)
+        r = cache.get(c)
         if r is None:
             mul = self.base.mul
             r = min(mul(c, k) for k in self._kernel_sorted)
-            self._rep_cache[c] = r
+            cache[c] = r
         return r
 
     def mul(self, a, b):
@@ -274,9 +282,6 @@ class QuotientView:
 
     def identity_coords(self):
         return self.base.identity_coords()
-
-    def encode(self, coords):
-        return self.base.encode(coords)
 
     def is_abelian(self):
         if self.base.is_abelian():

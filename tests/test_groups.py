@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from growthlab import (
@@ -97,16 +97,6 @@ def test_abelian_axioms(coords):
             assert parent.mul(parent.reduce(x), parent.reduce(y)) == parent.mul(
                 parent.reduce(y), parent.reduce(x)
             )
-
-
-@settings(max_examples=60)
-@given(st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40)))
-def test_encode_injective_on_window(coords):
-    parent = Unitriangular(3, 0)
-    # encode must order and separate arbitrary coordinate windows
-    other = (coords[0] + 1, coords[1], coords[2])
-    assert parent.encode(coords) != parent.encode(other)
-    assert (parent.encode(coords) < parent.encode(other)) == (coords < other)
 
 
 def test_commutator_and_conjugate():

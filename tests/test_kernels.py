@@ -1,0 +1,171 @@
+"""Specialised backend kernels pinned to a plain per-coordinate reference.
+
+The backends in `growthlab.groups` specialise `reduce`/`mul`/`inv` per
+descriptor (one-coordinate abelian groups, straight-line UT(3), a
+precomputed index-pair table for larger n).  The functions below are the
+generic implementations they replaced; every fast path must agree with
+them on arbitrary integer input, including entries far beyond 64 bits.
+"""
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from growthlab import FiniteAbelian, Unitriangular
+from growthlab.subgroups import QuotientView, derived_subgroup, normal_closure, span
+
+
+# --------------------------------------------------------------------------
+# Reference implementations
+
+
+def _reduce_mod(c: int, m: int) -> int:
+    return c % m if m > 0 else c
+
+
+def ref_abelian_reduce(G: FiniteAbelian, coords):
+    return tuple(_reduce_mod(c, m) for c, m in zip(coords, G.moduli))
+
+
+def ref_abelian_mul(G: FiniteAbelian, a, b):
+    return tuple(_reduce_mod(x + y, m) for x, y, m in zip(a, b, G.moduli))
+
+
+def ref_abelian_inv(G: FiniteAbelian, a):
+    return tuple(_reduce_mod(-x, m) for x, m in zip(a, G.moduli))
+
+
+def ref_ut_reduce(G: Unitriangular, coords):
+    return tuple(_reduce_mod(c, G.modulus) for c in coords)
+
+
+def ref_ut_mul(G: Unitriangular, a, b):
+    m = G.modulus
+    idx = G.pos_index
+    out = []
+    for k, (i, j) in enumerate(G.positions):
+        v = a[k] + b[k]
+        for t in range(i + 1, j):
+            v += a[idx[(i, t)]] * b[idx[(t, j)]]
+        out.append(_reduce_mod(v, m))
+    return tuple(out)
+
+
+def ref_ut_inv(G: Unitriangular, a):
+    # Solve (I + a)(I + e) = I entry by entry, shortest gaps first.
+    m = G.modulus
+    idx = G.pos_index
+    e: dict[tuple[int, int], int] = {}
+    for gap in range(1, G.n):
+        for i in range(G.n - gap):
+            j = i + gap
+            v = -a[idx[(i, j)]]
+            for t in range(i + 1, j):
+                v -= a[idx[(i, t)]] * e[(t, j)]
+            e[(i, j)] = _reduce_mod(v, m)
+    return tuple(e[p] for p in G.positions)
+
+
+def ref_quotient_reduce(q: QuotientView, coords):
+    """Reduce in the base first, then take the least coset member."""
+    c = ref_ut_reduce(q.base, tuple(coords))
+    return min(ref_ut_mul(q.base, c, k) for k in q.kernel.elements.members)
+
+
+# --------------------------------------------------------------------------
+# Strategies
+
+_small = st.integers(-50, 50)
+_wide = st.one_of(_small, st.integers(-(2**80), 2**80), st.integers(2**63, 2**70))
+
+
+def _coords(arity: int, ints=_wide):
+    return st.tuples(*([ints] * arity))
+
+
+@st.composite
+def _abelian_case(draw, one_coordinate: bool):
+    if one_coordinate:
+        moduli = (draw(st.sampled_from((0, 1, 2, 7, 101))),)
+    else:
+        moduli = tuple(draw(st.lists(st.sampled_from((0, 1, 2, 3, 12, 101)), min_size=2, max_size=4)))
+    G = FiniteAbelian(moduli)
+    return G, draw(_coords(G.arity)), draw(_coords(G.arity))
+
+
+@st.composite
+def _ut_case(draw):
+    G = Unitriangular(draw(st.sampled_from((2, 3, 4, 5))), draw(st.sampled_from((0, 2, 7))))
+    return G, draw(_coords(G.arity)), draw(_coords(G.arity))
+
+
+# --------------------------------------------------------------------------
+# Properties
+
+
+@settings(max_examples=300)
+@given(_abelian_case(one_coordinate=True))
+def test_abelian_one_coordinate_matches_reference(case):
+    G, a, b = case
+    assert G.reduce(a) == ref_abelian_reduce(G, a)
+    assert G.mul(a, b) == ref_abelian_mul(G, a, b)
+    assert G.inv(a) == ref_abelian_inv(G, a)
+
+
+@settings(max_examples=300)
+@given(_abelian_case(one_coordinate=False))
+def test_abelian_mixed_factors_match_reference(case):
+    G, a, b = case
+    assert G.reduce(a) == ref_abelian_reduce(G, a)
+    assert G.reduce(list(a)) == ref_abelian_reduce(G, a)
+    assert G.mul(a, b) == ref_abelian_mul(G, a, b)
+    assert G.inv(a) == ref_abelian_inv(G, a)
+
+
+@settings(max_examples=400)
+@given(_ut_case())
+def test_unitriangular_matches_reference(case):
+    G, a, b = case
+    assert G.reduce(a) == ref_ut_reduce(G, a)
+    assert G.reduce(list(a)) == ref_ut_reduce(G, a)
+    assert G.mul(a, b) == ref_ut_mul(G, a, b)
+    assert G.inv(a) == ref_ut_inv(G, a)
+    ca, cb = G.reduce(a), G.reduce(b)
+    assert G.mul(ca, cb) == ref_ut_mul(G, ca, cb)
+    assert G.mul(ca, G.inv(ca)) == G.identity_coords()
+
+
+def _quotients():
+    H5 = Unitriangular(3, 5)
+    U4 = Unitriangular(4, 2)
+    x = U4.element((1, 0, 0, 0, 0, 0))
+    return (
+        QuotientView(H5, derived_subgroup(H5.generators())),
+        QuotientView(U4, normal_closure(span([x]), U4.generators())),
+    )
+
+
+_QUOTIENTS = _quotients()
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(range(len(_QUOTIENTS))), st.data())
+def test_quotient_reduce_matches_base_reduce_first(which, data):
+    q = _QUOTIENTS[which]
+    raw = data.draw(_coords(q.arity, st.integers(-40, 40)))
+    expected = ref_quotient_reduce(q, raw)
+    assert q.reduce(list(raw)) == expected
+    assert q.reduce(raw) == expected
+    # Canonical input (a cache hit after the line above) gives the same answer.
+    assert q.reduce(q.base.reduce(raw)) == expected
+    assert q.reduce(expected) == expected
+    # The cache is keyed by canonical base coordinates only.
+    assert all(q.base.reduce(key) == key for key in q._rep_cache)
+
+
+def test_kernels_stay_class_level_and_tables_stay_out_of_equality():
+    # Tracing wraps the class attributes, so instances must not shadow them.
+    G = Unitriangular(4, 0)
+    assert G.mul((1,) * 6, (2,) * 6) == ref_ut_mul(G, (1,) * 6, (2,) * 6)
+    fresh = Unitriangular(4, 0)
+    assert G == fresh and hash(G) == hash(fresh)
+    for obj in (G, FiniteAbelian((5,)), _QUOTIENTS[0]):
+        assert "mul" not in vars(obj) and "inv" not in vars(obj)

@@ -6,6 +6,7 @@ import pytest
 
 from growthlab import BudgetExceeded, FormatError, Report, Scenario, run_scenario, run_suite
 from growthlab.cli import main
+from growthlab.scenarios import worker_count
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -162,3 +163,44 @@ def test_cli_prog_and_cover(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["records"][0]["x_size"] == 15
+
+
+def _scenario_file(tmp_path, ops):
+    path = tmp_path / "ops.json"
+    path.write_text(
+        json.dumps({"schema": 1, "name": "s", "recipe": "interval ab:7 L=1", "ops": ops})
+    )
+    return str(path)
+
+
+def test_cli_missing_op_parameter_exit_two(tmp_path, capsys):
+    assert main(["suite", _scenario_file(tmp_path, [{"op": "ruzsa"}])]) == 2
+    err = capsys.readouterr().err
+    assert "FormatError" in err and "'b'" in err
+
+
+def test_cli_non_integer_op_parameter_exit_two(tmp_path, capsys):
+    assert main(["suite", _scenario_file(tmp_path, [{"op": "stats", "n": "x"}])]) == 2
+    err = capsys.readouterr().err
+    assert "FormatError" in err and "'n'" in err
+
+
+def test_cli_malformed_env_budget_exit_two(monkeypatch, capsys):
+    monkeypatch.setenv("GROWTHLAB_BUDGET", "abc")
+    assert main(["certify", "interval", "ab:101", "L=10"]) == 2
+    assert "FormatError" in capsys.readouterr().err
+
+
+def test_cli_jobs_below_one_exit_two(capsys):
+    assert main(["suite", "sections", "--jobs", "0"]) == 2
+    assert "FormatError" in capsys.readouterr().err
+
+
+def test_worker_count_is_clamped():
+    assert worker_count(1, 50, cpus=8) == 1
+    assert worker_count(64, 50, cpus=8) == 8
+    assert worker_count(64, 3, cpus=8) == 3
+    assert worker_count(4, 0, cpus=8) == 1
+    assert worker_count(10**9, 2) <= 2
+    with pytest.raises(FormatError):
+        worker_count(0, 10, cpus=8)
