@@ -59,9 +59,6 @@ class GSet:
         for c in self.sorted_members():
             yield Element(self.parent, c)
 
-    def min_element(self) -> Element:
-        return Element(self.parent, self.sorted_members()[0])
-
     def is_symmetric(self) -> bool:
         s = object.__getattribute__(self, "_symmetric")
         if s is None:
@@ -72,10 +69,6 @@ class GSet:
 
     def contains_identity(self) -> bool:
         return self.parent.identity_coords() in self.members
-
-    def with_parent(self, parent) -> "GSet":
-        """Retag coordinates under another parent sharing the coordinate space."""
-        return GSet(parent, self.members)
 
     def __len__(self):
         return len(self.members)

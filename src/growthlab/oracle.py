@@ -13,7 +13,7 @@ finite difference body.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 from .config import resolve_budget
@@ -75,6 +75,8 @@ def subgroups_within(D: GSet, budget: int | None = None) -> list[SubgroupHandle]
     while work:
         H1 = work.pop()
         for H2 in list(known):
+            if H2 <= H1 or H1 <= H2:
+                continue  # nested: the join is the larger one, already known
             join = {mul(a, b) for a in H1 for b in H2}
             if len(join) > len(D):
                 continue
@@ -96,18 +98,23 @@ def subgroups_within(D: GSet, budget: int | None = None) -> list[SubgroupHandle]
 
 @dataclass(frozen=True)
 class CosetProgression:
-    """H + P with the realized set re-verified against its own definition."""
+    """H + P with the realized set re-verified against its own definition.
+
+    `budget` (init-only, not a field) bounds the re-verification.
+    """
 
     H: SubgroupHandle
     generators: tuple[Element, ...]
     bounds: tuple[int, ...]
     realized: GSet
+    budget: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, budget):
         if self.rank:
+            budget = resolve_budget(budget)
             spec = ProgressionSpec(self.generators, self.bounds)
-            P = ordered_progression(spec)
-            check = product(self.H.elements, P)
+            P = ordered_progression(spec, budget)
+            check = product(self.H.elements, P, budget)
         else:
             check = self.H.elements
         if check.members != self.realized.members:
@@ -129,19 +136,52 @@ class OracleResult:
     body_size: int
 
 
-def _grow_slot(realized: set, x_coords: tuple, D: GSet) -> tuple[set, int]:
-    """Extend realized by multiples of x while staying inside D."""
+def _grow_slot(
+    realized: frozenset, x_coords: tuple, D: GSet
+) -> tuple[frozenset, int, bool]:
+    """Extend realized by multiples of x while staying inside D.
+
+    Returns (R_L, L, fixed).  With X_L = {x^i : |i| <= L}, R_L = R_0·X_L, so
+    R_{L+1} = R_L ∪ Δ_L·x ∪ Δ_L·x⁻¹ where Δ_L = R_L − R_{L-1} (Δ_0 = R_0):
+    each step multiplies only the elements the previous step added, and
+    growth stops at the first product outside D.  `fixed` is true when step 0
+    adds nothing, that is R_0·x = R_0.
+    """
     parent = D.parent
-    mul, inv = parent.mul, parent.inv
-    xi = inv(x_coords)
-    cur = realized
+    mul = parent.mul
+    steps = (x_coords, parent.inv(x_coords))
+    inside = D.members
+    cur = frontier = realized
     L = 0
     while True:
-        nxt = cur | {mul(w, x_coords) for w in cur} | {mul(w, xi) for w in cur}
-        if nxt == cur or not nxt <= D.members:
-            return cur, L
-        cur = nxt
+        new = set()
+        for s in steps:
+            for w in frontier:
+                y = mul(w, s)
+                if y not in cur:
+                    if y not in inside:
+                        return cur, L, False
+                    new.add(y)
+        if not new:
+            return cur, L, L == 0
+        cur = cur | new
+        frontier = new
         L += 1
+
+
+def _join_cyclic(S: frozenset, x_coords: tuple, mul) -> frozenset:
+    """S·⟨x⟩ for a subgroup S and an x of finite order, all commuting.
+
+    Walks the cosets S·x, S·x², ... multiplying only the newest one, until
+    it returns to S.
+    """
+    out = set(S)
+    coset = S
+    while True:
+        coset = {mul(s, x_coords) for s in coset}
+        if next(iter(coset)) in S:
+            return frozenset(out)
+        out |= coset
 
 
 def find_coset_progression(
@@ -156,6 +196,14 @@ def find_coset_progression(
     order) and adopted only when they strictly grow the realized set; the
     winner maximizes realized size, with ties preferring larger subgroup
     part, then lower rank, then canonical generators.
+
+    The search never multiplies out a candidate whose answer is known.  All
+    members commute, so for each subgroup it keeps `stab`, a subgroup with
+    R·s = R for every s in it (R the realized set; at first R = H = stab).
+    A candidate in `stab` would add nothing and is skipped, though still
+    counted in `search_log`; one that adds nothing at step 0 fixes R and is
+    joined into `stab`.  Adopting a generator replaces R by R·{x^i}, whose
+    stabiliser contains that of R, so `stab` stays valid.
     """
     budget = resolve_budget(budget)
     if len(A) == 0:
@@ -177,20 +225,24 @@ def find_coset_progression(
     best = None
     best_key = None
     for H in subs:
-        realized = set(H.elements.members)
+        realized = stab = H.elements.members
         gens: list[Element] = []
         bounds: list[int] = []
         for x in candidates:
             if len(gens) >= rank_max:
                 break
             examined += 1
-            trial, L = _grow_slot(realized, x, D)
-            if L > 0 and len(trial) > len(realized):
+            if x in stab:
+                continue
+            trial, L, fixed = _grow_slot(realized, x, D)
+            if L:
                 realized = trial
                 gens.append(Element(parent, x))
                 bounds.append(L)
+            elif fixed:
+                stab = _join_cyclic(stab, x, mul)
         cp = CosetProgression(
-            H, tuple(gens), tuple(bounds), GSet(parent, realized, _reduced=True)
+            H, tuple(gens), tuple(bounds), GSet(parent, realized, _reduced=True), budget
         )
         key = (
             -len(cp.realized),

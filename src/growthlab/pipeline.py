@@ -21,6 +21,7 @@ from .errors import (
     BudgetExceeded,
     CertificateError,
     ContainmentError,
+    NotAbelian,
     ParentMismatch,
     StepDropFailed,
     StepTooLow,
@@ -207,7 +208,10 @@ def _in_cyclic_free(moduli, x, w) -> bool:
 
 
 def in_cyclic(parent, x_coords, w_coords) -> bool:
-    """Decide w ∈ ⟨x⟩ in an abelian parent (plain or quotient-presented)."""
+    """Decide w ∈ ⟨x⟩ in an abelian parent (plain or quotient-presented).
+
+    Other parents raise NotAbelian: a power walk there need not end.
+    """
     x = parent.reduce(tuple(x_coords))
     w = parent.reduce(tuple(w_coords))
     identity = parent.identity_coords()
@@ -237,14 +241,7 @@ def in_cyclic(parent, x_coords, w_coords) -> bool:
                 return True
             cur = parent.mul(cur, x)
         return False
-    # generic fallback: finite-order power walk
-    cur = x
-    while True:
-        if cur == w:
-            return True
-        if cur == identity:
-            return False
-        cur = parent.mul(cur, x)
+    raise NotAbelian(f"in_cyclic needs an ab: parent or a quotient of one, not {parent!r}")
 
 
 # --------------------------------------------------------------------------

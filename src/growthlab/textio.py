@@ -6,10 +6,9 @@ Grammar for group descriptors (used by recipes and the command line):
     ut:<n>:<m>              n x n unitriangular matrices, entries mod m (0 = Z)
     prod:(<spec>);(<spec>)  direct product of the wrapped descriptors
 
-Sets and progression specs serialise to plain JSON objects; reports are
-emitted as deterministic JSON (sorted keys, fixed indentation) or as flat
-CSV with a fixed column order, so reruns of a seeded scenario are
-byte-identical.
+Sets serialise to plain JSON objects; reports are emitted as deterministic
+JSON (sorted keys, fixed indentation) or as flat CSV with a fixed column
+order, so reruns of a seeded scenario are byte-identical.
 """
 from __future__ import annotations
 
@@ -18,9 +17,8 @@ import io
 import json
 
 from .errors import FormatError
-from .groups import DirectProduct, Element, FiniteAbelian, Unitriangular
+from .groups import DirectProduct, FiniteAbelian, Unitriangular
 from .gset import GSet
-from .progressions import ProgressionSpec
 
 
 def parse_group(text: str):
@@ -124,24 +122,6 @@ def set_from_obj(obj: dict) -> GSet:
     except (KeyError, TypeError, ValueError):
         raise FormatError("set object needs 'group' and 'members'")
     return GSet(parent, members)
-
-
-def spec_to_obj(spec: ProgressionSpec) -> dict:
-    return {
-        "group": format_group(spec.parent),
-        "generators": [list(g.coords) for g in spec.generators],
-        "bounds": list(spec.bounds),
-    }
-
-
-def spec_from_obj(obj: dict) -> ProgressionSpec:
-    try:
-        parent = parse_group(obj["group"])
-        gens = tuple(Element(parent, tuple(int(x) for x in row)) for row in obj["generators"])
-        bounds = tuple(int(b) for b in obj["bounds"])
-    except (KeyError, TypeError, ValueError):
-        raise FormatError("progression object needs 'group', 'generators', 'bounds'")
-    return ProgressionSpec(gens, bounds)
 
 
 def dumps_json(obj) -> str:

@@ -1,10 +1,19 @@
 """Coset-progression search in abelian difference bodies, plus the
-derived Sanders-style cover with its Plünnecke size bound."""
+derived Sanders-style cover with its Plünnecke size bound.
+
+The search skips candidates whose answer it already knows (stabiliser skip,
+frontier growth, nested-join skip).  The functions under "Reference search"
+are the plain loops it replaced; hypothesis pins the search to them.
+"""
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthlab import (
+    BudgetExceeded,
     CertificateError,
     CosetProgression,
     Element,
@@ -15,7 +24,14 @@ from growthlab import (
     difference_body,
     find_coset_progression,
     greedy_cover_certificate,
+    ProgressionSpec,
+    QuotientView,
+    SubgroupHandle,
+    Unitriangular,
+    derived_subgroup,
+    ordered_progression,
     power,
+    product,
     span,
 )
 from growthlab.recipes import generate_example
@@ -53,6 +69,19 @@ def test_realized_set_is_reverified():
         CosetProgression(H, (Element(parent, (1,)),), (1,), wrong)
 
 
+def test_coset_progression_reverifies_under_the_callers_budget():
+    parent = FiniteAbelian((12,))
+    H = span([Element(parent, (4,))])
+    x = Element(parent, (1,))
+    realized = product(H.elements, ordered_progression(ProgressionSpec((x,), (1,))))
+    cp = CosetProgression(H, (x,), (1,), realized)
+    with pytest.raises(BudgetExceeded):
+        CosetProgression(H, (x,), (1,), realized, budget=1)
+    # The budget is an init-only argument: not a field, not part of equality.
+    assert CosetProgression(H, (x,), (1,), realized, budget=10**6) == cp
+    assert "budget" not in {f.name for f in fields(cp)}
+
+
 def test_oracle_requires_commuting_members():
     ball = generate_example("ball ut:3:5 radius=1")
     with pytest.raises(NotAbelian):
@@ -84,3 +113,179 @@ def test_oracle_determinism():
     assert r1.best.generators == r2.best.generators
     assert r1.best.bounds == r2.best.bounds
     assert r1.density == r2.density
+
+
+# --------------------------------------------------------------------------
+# Reference search: the plain loops, multiplying everything out every time
+
+
+def ref_subgroups_within(D):
+    mul = D.parent.mul
+    ident = D.parent.identity_coords()
+    if ident not in D.members:
+        return []
+    found = {frozenset((ident,))}
+    for d in D.sorted_members():
+        if d == ident:
+            continue
+        path = {ident}
+        cur = d
+        while cur != ident:
+            if cur not in D.members:
+                path = None
+                break
+            path.add(cur)
+            cur = mul(cur, d)
+        if path is not None:
+            found.add(frozenset(path))
+    work = sorted(found, key=lambda s: (len(s), sorted(s)))
+    known = set(found)
+    while work:
+        H1 = work.pop()
+        for H2 in list(known):
+            join = {mul(a, b) for a in H1 for b in H2}
+            if len(join) <= len(D) and join <= D.members:
+                fs = frozenset(join)
+                if fs not in known:
+                    known.add(fs)
+                    work.append(fs)
+    return sorted(known, key=lambda s: (len(s), sorted(s)))
+
+
+def ref_grow_slot(realized, x, D):
+    mul, inv = D.parent.mul, D.parent.inv
+    xi = inv(x)
+    cur = realized
+    L = 0
+    while True:
+        nxt = cur | {mul(w, x) for w in cur} | {mul(w, xi) for w in cur}
+        if nxt == cur or not nxt <= D.members:
+            return cur, L
+        cur = nxt
+        L += 1
+
+
+def ref_find_coset_progression(A, rank_max):
+    """(H, generators, bounds, realized, density, search_log, body_size)."""
+    mul = A.parent.mul
+    ident = A.parent.identity_coords()
+    D = difference_body(A)
+    popularity = {
+        d: len({mul(a, d) for a in A.members} & A.members)
+        for d in D.members
+        if d != ident
+    }
+    candidates = sorted(popularity, key=lambda d: (-popularity[d], d))
+    examined = 0
+    best_key = best = None
+    for H in ref_subgroups_within(D):
+        realized = set(H)
+        gens, bounds = [], []
+        for x in candidates:
+            if len(gens) >= rank_max:
+                break
+            examined += 1
+            trial, L = ref_grow_slot(realized, x, D)
+            if L > 0 and len(trial) > len(realized):
+                realized = trial
+                gens.append(x)
+                bounds.append(L)
+        key = (-len(realized), -len(H), len(gens), tuple(gens))
+        if best is None or key < best_key:
+            best_key = key
+            best = (frozenset(H), tuple(gens), tuple(bounds), frozenset(realized))
+    return best + (Fraction(len(best[3]), len(A)), examined, len(D))
+
+
+def _summary(res):
+    cp = res.best
+    return (
+        cp.H.elements.members,
+        tuple(g.coords for g in cp.generators),
+        cp.bounds,
+        cp.realized.members,
+        res.density,
+        res.search_log,
+        res.body_size,
+    )
+
+
+def _assert_matches_reference(A):
+    for rank_max in (1, 2, 3):
+        got = _summary(find_coset_progression(A, rank_max=rank_max))
+        assert got == ref_find_coset_progression(A, rank_max)
+
+
+def _subset(pool):
+    return st.lists(st.sampled_from(sorted(pool)), min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def _one_coordinate(draw):
+    G = FiniteAbelian((draw(st.sampled_from((2, 3, 5, 7, 12, 13))),))
+    return GSet(G, draw(_subset({(i,) for i in range(G.moduli[0])})))
+
+
+@st.composite
+def _mixed(draw):
+    moduli = (draw(st.sampled_from((2, 3, 4, 6))), draw(st.sampled_from((0, 2, 3, 6))))
+    G = FiniteAbelian(moduli)
+    rows = [range(m) if m else range(-2, 3) for m in moduli]
+    return GSet(G, draw(_subset({(i, j) for i in rows[0] for j in rows[1]})))
+
+
+@st.composite
+def _free(draw):
+    G = FiniteAbelian((0,))
+    return GSet(G, draw(_subset({(i,) for i in range(-6, 7)})))
+
+
+def _heisenberg_quotients():
+    """ut:3:p over its centre (abelian) and over the trivial subgroup."""
+    out = []
+    for p in (2, 3, 5):
+        U = Unitriangular(3, p)
+        trivial = SubgroupHandle(U, GSet.identity_set(U))
+        out.append(QuotientView(U, derived_subgroup(U.generators())))
+        out.append(QuotientView(U, trivial))
+    return out
+
+
+_HEISENBERG_QUOTIENTS = _heisenberg_quotients()
+
+
+@st.composite
+def _quotient_commuting(draw):
+    q = draw(st.sampled_from(_HEISENBERG_QUOTIENTS))
+    U = q.base
+    if q.is_abelian():
+        pool = {q.reduce(c) for c in U.iter_coords()}
+    else:
+        # ⟨a, z⟩ with z central: a commuting set in a non-abelian parent
+        a = draw(st.sampled_from(sorted(c for c in U.iter_coords() if c[0] or c[2])))
+        pool = span([Element(q, a), Element(q, (0, 1, 0))]).elements.members
+    return GSet(q, draw(_subset(pool)), _reduced=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_coordinate())
+def test_search_matches_reference_one_coordinate(A):
+    _assert_matches_reference(A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed())
+def test_search_matches_reference_mixed(A):
+    _assert_matches_reference(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_free())
+def test_search_matches_reference_free(A):
+    _assert_matches_reference(A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_quotient_commuting())
+def test_search_matches_reference_heisenberg_quotient(A):
+    _assert_matches_reference(A)

@@ -10,9 +10,11 @@ from growthlab import (
     Element,
     FiniteAbelian,
     GSet,
+    NotAbelian,
     PipelineConfig,
     ProgressionSpec,
     QuotientView,
+    Unitriangular,
     abelian_factorization,
     abelianization,
     build_section,
@@ -59,6 +61,10 @@ def test_in_cyclic():
     Zn = FiniteAbelian((12,))
     assert in_cyclic(Zn, (8,), (4,))  # 2*8 = 16 = 4 mod 12
     assert not in_cyclic(Zn, (4,), (2,))
+    # (1,0,0) has infinite order in ut:3:0 and (0,1,0) is not a power of it:
+    # no power walk, an immediate error
+    with pytest.raises(NotAbelian):
+        in_cyclic(Unitriangular(3, 0), (1, 0, 0), (0, 1, 0))
 
 
 def test_build_section_and_defects():
