@@ -161,17 +161,50 @@ def translate(g: Element, A: GSet) -> GSet:
     return GSet(A.parent, (mul(gc, c) for c in A.members), _reduced=True)
 
 
+def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
+    """A, A², A³, ... computed lazily; the caller decides where to stop.
+
+    With 1 ∈ A the powers are nested, so A^{k+1} = A^k ∪ (A^k∖A^{k−1})·A and
+    only the newest layer is multiplied by A.  The budget guards the pairs
+    enumerated and the size of each power.  Without 1 the step is the plain
+    product A^k·A.  Once A^{k+1} = A^k every later power is that set too.
+    """
+    budget = resolve_budget(budget)
+    cur = A
+    yield cur
+    if not A.contains_identity():
+        while True:
+            cur = product(cur, A, budget)
+            yield cur
+    mul = A.parent.mul
+    prev = frozenset((A.parent.identity_coords(),))
+    while True:
+        fresh = cur.members - prev
+        pairs = len(fresh) * len(A)
+        if pairs > budget:
+            raise BudgetExceeded("product", pairs, budget)
+        out = set(cur.members)
+        for f in fresh:
+            out.update([mul(f, a) for a in A.members])
+        if len(out) > budget:
+            raise BudgetExceeded("product", len(out), budget)
+        prev = cur.members
+        cur = GSet(A.parent, out, _reduced=True)
+        yield cur
+
+
 def power_chain(A: GSet, n: int, budget: int | None = None) -> list[GSet]:
     """[A^1, ..., A^n].  Detects stabilization (A^{k+1} = A^k) and reuses it."""
     if n < 1:
         raise ValueError("need n >= 1")
-    chain = [A]
-    for _ in range(n - 1):
-        nxt = product(chain[-1], A, budget)
-        if nxt.members == chain[-1].members:
+    chain: list[GSet] = []
+    for nxt in powers(A, budget):
+        if chain and nxt.members == chain[-1].members:
             chain.extend(chain[-1] for _ in range(n - len(chain)))
             break
         chain.append(nxt)
+        if len(chain) == n:
+            break
     return chain
 
 

@@ -27,7 +27,7 @@ from .errors import (
     StepTooLow,
 )
 from .groups import DirectProduct, Element, FiniteAbelian, Unitriangular
-from .gset import GSet, inverse_set, power, power_chain, product
+from .gset import GSet, inverse_set, power, power_chain, powers, product
 from .oracle import OracleResult, derive_sanders_cover, find_coset_progression
 from .progressions import ProgressionSpec, ordered_progression
 from .subgroups import (
@@ -244,6 +244,27 @@ def in_cyclic(parent, x_coords, w_coords) -> bool:
     raise NotAbelian(f"in_cyclic needs an ab: parent or a quotient of one, not {parent!r}")
 
 
+def _cyclic_membership(parent, x_coords, budget: int):
+    """Test w ∈ ⟨x⟩ for reduced coordinates w of an abelian parent.
+
+    In a finite parent ⟨x⟩ is enumerated once (ord(x) products, under the
+    budget), so each query is one set lookup; an infinite parent asks
+    `in_cyclic`, which solves for the exponent there.
+    """
+    if not parent.is_finite():
+        return lambda w: in_cyclic(parent, x_coords, w)
+    x = parent.reduce(tuple(x_coords))
+    identity = parent.identity_coords()
+    members = {identity}
+    cur = x
+    while cur != identity:
+        members.add(cur)
+        if len(members) > budget:
+            raise BudgetExceeded("cyclic membership", len(members), budget)
+        cur = parent.mul(cur, x)
+    return members.__contains__
+
+
 # --------------------------------------------------------------------------
 # Section maps and pullbacks through a quotient
 
@@ -383,9 +404,8 @@ def abelian_factorization(
     H_part = A18.filter(lambda c: proj.apply(c) in H_members)
     parts = []
     for x in res.best.generators:
-        parts.append(
-            A24.filter(lambda c, _x=x.coords: in_cyclic(proj.codomain, _x, proj.apply(c)))
-        )
+        in_x = _cyclic_membership(proj.codomain, x.coords, budget)
+        parts.append(A24.filter(lambda c: in_x(proj.apply(c))))
     product_size = density = None
     if with_product:
         prod = H_part
@@ -449,11 +469,12 @@ def containment_radius(
     identity = A.parent.identity_coords()
     if S.members == frozenset((identity,)):
         return 0
-    cur = A
+    walk = powers(A, budget)
+    cur = next(walk)
     for k in range(1, max_power + 1):
         if S.members <= cur.members:
             return k
-        nxt = product(cur, A, budget)
+        nxt = next(walk)
         if nxt.members == cur.members:
             raise ContainmentError("set escapes the group generated by A")
         cur = nxt
@@ -480,14 +501,15 @@ def word_radius_bound(
         if c == identity:
             radii[i] = 0
             del pending[i]
-    cur = A
+    walk = powers(A, budget)
+    cur = next(walk)
     for k in range(1, max_power + 1):
         for i in [i for i, c in pending.items() if c in cur.members]:
             radii[i] = k
             del pending[i]
         if not pending:
             break
-        nxt = product(cur, A, budget)
+        nxt = next(walk)
         if nxt.members == cur.members:
             raise ContainmentError("a generator escapes the group generated by A")
         cur = nxt
@@ -576,12 +598,9 @@ def step_reduction(
         predicate_slice_certificate(cert, lambda c: proj.apply(c) in H_members, budget)
     ]
     for x in fac.oracle.best.generators:
+        in_x = _cyclic_membership(proj.codomain, x.coords, budget)
         factors.append(
-            predicate_slice_certificate(
-                cert,
-                lambda c, _x=x.coords: in_cyclic(proj.codomain, _x, proj.apply(c)),
-                budget,
-            )
+            predicate_slice_certificate(cert, lambda c: in_x(proj.apply(c)), budget)
         )
 
     lifted = [proj.section_element(h.coords) for h in fac.oracle.best.H.gen_elements()]

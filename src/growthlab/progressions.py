@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .config import resolve_budget
 from .errors import BudgetExceeded, ContainmentError, ParentMismatch
 from .groups import Element, commutator
-from .gset import GSet, product
+from .gset import GSet, powers, product
 
 
 @dataclass(frozen=True)
@@ -275,17 +275,18 @@ def containment_exponent(
     P = ordered_progression(spec, budget)
     if target.parent != P.parent:
         raise ParentMismatch("target lives elsewhere")
-    chain = [P]
+    walk = powers(P, budget)
+    cur = next(walk)
     for k in range(1, max_power + 1):
-        if target <= chain[-1]:
+        if target <= cur:
             return k
         if k == max_power:
             break
-        nxt = product(chain[-1], P, budget)
-        if nxt.members == chain[-1].members:
+        nxt = next(walk)
+        if nxt.members == cur.members:
             # The generated subgroup is exhausted; containment is impossible.
             raise ContainmentError("target escapes the subgroup generated by the progression")
-        chain.append(nxt)
+        cur = nxt
     raise BudgetExceeded("containment_exponent", max_power + 1, max_power)
 
 

@@ -25,6 +25,15 @@ from .progressions import ProgressionSpec, ordered_progression
 from .subgroups import span
 from .textio import parse_coord_list, parse_group
 
+# The parameters each recipe kind reads; any other key is refused.
+_KEYS = {
+    "ball": ("radius",),
+    "interval": ("L",),
+    "progression": ("gens", "bounds"),
+    "coset-union": ("sub", "reps"),
+    "random-symmetric": ("size", "seed"),
+}
+
 
 @dataclass(frozen=True)
 class Recipe:
@@ -51,6 +60,8 @@ def parse_recipe(text: str) -> Recipe:
         if "=" not in tok:
             raise RecipeError(f"recipe parameter {tok!r} is not key=value")
         k, _, v = tok.partition("=")
+        if any(k == seen for seen, _ in params):
+            raise RecipeError(f"recipe parameter {k!r} is given twice")
         params.append((k, v))
     return Recipe(kind, group, tuple(params))
 
@@ -61,6 +72,18 @@ def _int_param(recipe: Recipe, key: str, default: str | None = None) -> int:
         return int(raw)
     except ValueError:
         raise RecipeError(f"parameter {key}={raw!r} is not an integer")
+
+
+def _coords_param(parent, recipe: Recipe, key: str) -> list[tuple[int, ...]]:
+    """'|'-separated coordinate tuples, each of the group's arity."""
+    coords = parse_coord_list(recipe.get(key))
+    for c in coords:
+        if len(c) != parent.arity:
+            raise RecipeError(
+                f"parameter {key}: {','.join(map(str, c))} has {len(c)} coordinates, "
+                f"{recipe.group} needs {parent.arity}"
+            )
+    return coords
 
 
 def _ball(parent, radius: int, budget: int) -> GSet:
@@ -80,16 +103,22 @@ def _interval(parent, L: int) -> GSet:
 
 
 def _progression(parent, recipe: Recipe, budget: int) -> GSet:
-    gens = tuple(Element(parent, c) for c in parse_coord_list(recipe.get("gens")))
-    bounds = tuple(
-        int(b) for b in recipe.get("bounds").split(",") if b.strip()
-    )
+    gens = tuple(Element(parent, c) for c in _coords_param(parent, recipe, "gens"))
+    text = recipe.get("bounds")
+    try:
+        bounds = tuple(int(b) for b in text.split(",") if b.strip())
+    except ValueError:
+        raise RecipeError(f"parameter bounds={text!r} is not a list of integers")
+    if any(b < 0 for b in bounds):
+        raise RecipeError("progression bounds must be nonnegative")
+    if len(bounds) != len(gens):
+        raise RecipeError(f"progression has {len(gens)} generators but {len(bounds)} bounds")
     return ordered_progression(ProgressionSpec(gens, bounds), budget)
 
 
 def _coset_union(parent, recipe: Recipe, budget: int) -> GSet:
-    sub = [Element(parent, c) for c in parse_coord_list(recipe.get("sub"))]
-    reps = GSet(parent, parse_coord_list(recipe.get("reps")))
+    sub = [Element(parent, c) for c in _coords_param(parent, recipe, "sub")]
+    reps = GSet(parent, _coords_param(parent, recipe, "reps"))
     H = span(sub, budget)
     from .gset import product  # local import keeps module deps one-way
 
@@ -148,6 +177,14 @@ def generate_example(recipe: Recipe | str, budget: int | None = None) -> GSet:
         recipe = parse_recipe(recipe)
     budget = resolve_budget(budget)
     parent = parse_group(recipe.group)
+    keys = _KEYS.get(recipe.kind)
+    if keys is None:
+        raise RecipeError(f"unknown recipe kind {recipe.kind!r}")
+    for k, _ in recipe.params:
+        if k not in keys:
+            raise RecipeError(
+                f"recipe {recipe.kind!r} takes {', '.join(keys)}, not {k!r}"
+            )
     if recipe.kind == "ball":
         return _ball(parent, _int_param(recipe, "radius"), budget)
     if recipe.kind == "interval":
@@ -156,8 +193,6 @@ def generate_example(recipe: Recipe | str, budget: int | None = None) -> GSet:
         return _progression(parent, recipe, budget)
     if recipe.kind == "coset-union":
         return _coset_union(parent, recipe, budget)
-    if recipe.kind == "random-symmetric":
-        return _random_symmetric(
-            parent, _int_param(recipe, "size"), _int_param(recipe, "seed"), budget
-        )
-    raise RecipeError(f"unknown recipe kind {recipe.kind!r}")
+    return _random_symmetric(
+        parent, _int_param(recipe, "size"), _int_param(recipe, "seed"), budget
+    )

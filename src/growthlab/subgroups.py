@@ -53,31 +53,52 @@ def _gen_list(gens) -> list[Element]:
     return list(gens)
 
 
-def span(gens, budget: int | None = None) -> SubgroupHandle:
-    """Smallest subgroup containing gens: closure under product with gens∪gens^-1."""
-    budget = resolve_budget(budget)
-    gen_elems = _gen_list(gens)
+def _adjoin(parent, members: set, gens: list, new, budget: int, op: str) -> None:
+    """Grow the subgroup `members` = ⟨gens⟩ in place by each of `new` (Dimino).
+
+    A candidate already in the subgroup costs one lookup.  Otherwise it is
+    appended to `gens` and whole right cosets H·r of the subgroup H before
+    it are added: H·r·s = H·(r·s), so only coset representatives r are
+    multiplied by the generators s.  Closing under right multiplication by
+    the generators gives the generated subgroup when that is finite (every
+    element has finite order); an infinite one hits the budget.
+    """
+    mul = parent.mul
+    for s in new:
+        if s in members:
+            continue
+        gens.append(s)
+        old = list(members)
+        reps = [parent.identity_coords()]
+        for r in reps:
+            for g in gens:
+                w = mul(r, g)
+                if w not in members:
+                    members.update([mul(h, w) for h in old])
+                    if len(members) > budget:
+                        raise BudgetExceeded(op, len(members), budget)
+                    reps.append(w)
+
+
+def _closure_start(gen_elems, what: str):
+    """Common parent of the generators, and their coordinates with inverses."""
     if not gen_elems:
-        raise ValueError("span needs at least one generator (or a parent-tagged GSet)")
+        raise ValueError(f"{what} needs at least one generator (or a parent-tagged GSet)")
     parent = gen_elems[0].parent
     for g in gen_elems:
         if g.parent != parent:
-            raise ParentMismatch("span: mixed parents")
-    mul, inv = parent.mul, parent.inv
-    step_gens = sorted({g.coords for g in gen_elems} | {inv(g.coords) for g in gen_elems})
+            raise ParentMismatch(f"{what}: mixed parents")
+    inv = parent.inv
+    return parent, sorted({g.coords for g in gen_elems} | {inv(g.coords) for g in gen_elems})
+
+
+def span(gens, budget: int | None = None) -> SubgroupHandle:
+    """Smallest subgroup containing gens, grown coset by coset from {1}."""
+    budget = resolve_budget(budget)
+    gen_elems = _gen_list(gens)
+    parent, step_gens = _closure_start(gen_elems, "span")
     members = {parent.identity_coords()}
-    frontier = list(members)
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in step_gens:
-                w = mul(f, g)
-                if w not in members:
-                    members.add(w)
-                    new.append(w)
-        if len(members) > budget:
-            raise BudgetExceeded("span", len(members), budget)
-        frontier = new
+    _adjoin(parent, members, [], step_gens, budget, "span")
     return SubgroupHandle(
         parent,
         GSet(parent, members, _reduced=True),
@@ -89,30 +110,32 @@ def normal_closure(H, conj_gens, budget: int | None = None) -> SubgroupHandle:
     """Smallest subgroup containing H that is conjugation-stable under conj_gens.
 
     Stability under a generating set implies normality in the generated group.
+    Only the generators N was grown from are conjugated: if g·h·g⁻¹ ∈ N for
+    every such h and every g ∈ conj ∪ conj⁻¹, then gNg⁻¹ ⊆ N, and equality
+    holds because N is finite.  A conjugate outside N is adjoined to it and
+    conjugated in turn.
     """
     budget = resolve_budget(budget)
     conj = _gen_list(conj_gens)
     base = _gen_list(H)
     if not base:
         raise ValueError("normal_closure of nothing")
-    parent = base[0].parent
+    pool = [g if isinstance(g, Element) else Element(base[0].parent, g) for g in base]
+    parent, start = _closure_start(pool, "normal_closure")
     mul, inv = parent.mul, parent.inv
-    conj_coords = sorted({g.coords for g in conj} | {inv(g.coords) for g in conj})
-    pool = [g if isinstance(g, Element) else Element(parent, g) for g in base]
-    N = span(pool, budget)
-    while True:
-        fresh = []
-        for x in N.elements.sorted_members():
-            for g in conj_coords:
-                w = mul(mul(g, x), inv(g))
-                if w not in N.elements:
-                    fresh.append(Element(parent, w))
-        if not fresh:
-            break
-        N = span(list(N.elements.elements()) + fresh, budget)
+    conj_coords = {g.coords for g in conj} | {inv(g.coords) for g in conj}
+    conj_pairs = [(g, inv(g)) for g in sorted(conj_coords)]
+    members = {parent.identity_coords()}
+    gens: list[tuple] = []
+    _adjoin(parent, members, gens, start, budget, "normal_closure")
+    for h in gens:  # conjugates adjoined below extend gens and are visited too
+        for g, gi in conj_pairs:
+            w = mul(mul(g, h), gi)
+            if w not in members:
+                _adjoin(parent, members, gens, (w,), budget, "normal_closure")
     return SubgroupHandle(
         parent,
-        N.elements,
+        GSet(parent, members, _reduced=True),
         generators=tuple(sorted(pool)),
         is_normal=True,
         normal_gens=frozenset(g.coords for g in conj),

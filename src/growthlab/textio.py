@@ -20,6 +20,11 @@ from .errors import FormatError
 from .groups import DirectProduct, FiniteAbelian, Unitriangular
 from .gset import GSet
 
+# Largest n accepted in ut:<n>:<m>.  The structure grows with n (n(n-1)/2
+# coordinates, step n-1, and tables built from them), and the library's own
+# examples stop at ut:5; a larger n is refused before anything is built.
+MAX_UT_N = 8
+
 
 def parse_group(text: str):
     """Build a group backend from its descriptor string."""
@@ -36,6 +41,11 @@ def parse_group(text: str):
             raise FormatError(f"unitriangular descriptor needs ut:<n>:<m>, got {text!r}")
         try:
             n, m = int(parts[0]), int(parts[1])
+        except ValueError as e:
+            raise FormatError(f"bad unitriangular parameters in {text!r}: {e}")
+        if n > MAX_UT_N:
+            raise FormatError(f"unitriangular size {n} in {text!r} is above the limit {MAX_UT_N}")
+        try:
             return Unitriangular(n, m)
         except ValueError as e:
             raise FormatError(f"bad unitriangular parameters in {text!r}: {e}")

@@ -1,0 +1,284 @@
+"""Subgroup closures, cyclic fibres and power chains against plain loops.
+
+`span` grows a subgroup coset by coset, `normal_closure` conjugates only the
+generators it adjoined, the step reduction enumerates each cyclic subgroup
+once per generator, and `powers` multiplies only the newest layer of a power
+chain.  The functions under "Reference loops" are the plain versions they
+replaced (for cyclic membership the reference is `in_cyclic` itself, which
+keeps its per-call walk); hypothesis pins each fast path to them.
+"""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from growthlab import (
+    BudgetExceeded,
+    ContainmentError,
+    Element,
+    FiniteAbelian,
+    GSet,
+    QuotientView,
+    Unitriangular,
+    containment_radius,
+    in_cyclic,
+    normal_closure,
+    parse_group,
+    power_chain,
+    product,
+    span,
+)
+from growthlab.pipeline import _cyclic_membership
+
+# --------------------------------------------------------------------------
+# Reference loops
+
+
+def _span_bfs(parent, gens, budget):
+    """Breadth-first closure: every member times every generator and inverse."""
+    mul, inv = parent.mul, parent.inv
+    step_gens = sorted(set(gens) | {inv(g) for g in gens})
+    members = {parent.identity_coords()}
+    frontier = list(members)
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in step_gens:
+                w = mul(f, g)
+                if w not in members:
+                    members.add(w)
+                    new.append(w)
+        if len(members) > budget:
+            raise BudgetExceeded("span", len(members), budget)
+        frontier = new
+    return frozenset(members)
+
+
+def _normal_closure_loop(parent, gens, conj, budget):
+    """Conjugate every element of N; re-span N plus the new conjugates."""
+    mul, inv = parent.mul, parent.inv
+    conj = sorted(set(conj) | {inv(g) for g in conj})
+    N = _span_bfs(parent, gens, budget)
+    while True:
+        fresh = []
+        for x in sorted(N):
+            for g in conj:
+                w = mul(mul(g, x), inv(g))
+                if w not in N:
+                    fresh.append(w)
+        if not fresh:
+            return N
+        N = _span_bfs(parent, list(N) + fresh, budget)
+
+
+def _power_chain_plain(A, n):
+    """[A^1, ..., A^n] by whole products, stopping once A^{k+1} = A^k."""
+    chain = [A.members]
+    for _ in range(n - 1):
+        nxt = product(GSet(A.parent, chain[-1], _reduced=True), A).members
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    return chain + [chain[-1]] * (n - len(chain))
+
+
+# --------------------------------------------------------------------------
+# Groups and element pools
+
+
+def _quotient(base, kernel_gens):
+    gens = [Element(base, c) for c in kernel_gens]
+    return QuotientView(base, normal_closure(gens, base.generators()))
+
+
+def _pool(G):
+    """Every element of a finite group; a small box where a coordinate is free."""
+    if G.is_finite():
+        return sorted(G.iter_coords())
+    rows = [range(m) if m else range(-2, 3) for m in G.moduli]
+    out = [()]
+    for row in rows:
+        out = [c + (v,) for c in out for v in row]
+    return out
+
+
+U3, U2 = Unitriangular(3, 3), Unitriangular(3, 2)
+_CLOSURE_GROUPS = [
+    FiniteAbelian((2, 3)),
+    FiniteAbelian((4, 6)),
+    FiniteAbelian((3, 0)),
+    FiniteAbelian((0, 4)),
+    Unitriangular(3, 2),
+    Unitriangular(3, 3),
+    Unitriangular(3, 5),
+    Unitriangular(4, 2),
+    _quotient(U3, [(0, 1, 0)]),
+    _quotient(U2, [(0, 1, 0)]),
+    _quotient(U3, [(1, 0, 0)]),
+    parse_group("prod:(ab:2);(ut:3:3)"),
+]
+_POOLS = {G: _pool(G) for G in _CLOSURE_GROUPS}
+_SMALL = 300  # budget for free factors, where a closure can be infinite
+
+
+@st.composite
+def _generators(draw):
+    """A group and a generator list, often redundant: a whole subgroup, shuffled."""
+    G = draw(st.sampled_from(_CLOSURE_GROUPS))
+    pool = _POOLS[G]
+    gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        try:
+            gens = gens + list(_span_bfs(G, gens, _SMALL))
+        except BudgetExceeded:
+            pass
+        gens = draw(st.permutations(gens))
+    return G, gens
+
+
+def _expect(reference, *args):
+    try:
+        return reference(*args)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generators())
+def test_span_matches_bfs(case):
+    G, gens = case
+    expected = _expect(_span_bfs, G, gens, _SMALL)
+    elems = [Element(G, c) for c in gens]
+    if expected is BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            span(elems, _SMALL)
+        return
+    H = span(elems, _SMALL)
+    assert H.elements.members == expected
+    assert H.generators == tuple(sorted(elems))
+    assert H.is_normal is None and H.normal_gens == frozenset()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generators(), st.data())
+def test_normal_closure_matches_whole_set_loop(case, data):
+    G, gens = case
+    # As in the pipeline, conjugate often by a generating set of the group.
+    conj = data.draw(st.one_of(
+        st.just(G.generator_coords()),
+        st.lists(st.sampled_from(_POOLS[G]), min_size=1, max_size=4),
+    ))
+    expected = _expect(_normal_closure_loop, G, gens, conj, _SMALL)
+    elems = [Element(G, c) for c in gens]
+    conj_elems = [Element(G, c) for c in conj]
+    if expected is BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            normal_closure(elems, conj_elems, _SMALL)
+        return
+    N = normal_closure(elems, conj_elems, _SMALL)
+    assert N.elements.members == expected
+    assert N.generators == tuple(sorted(elems))
+    assert N.is_normal is True
+    assert N.normal_gens == frozenset(conj)
+
+
+def test_normal_closure_conjugates_what_it_adjoined():
+    # In ut:4:2, e12 conjugated by e23 brings in e13, and only e13
+    # conjugated by e34 brings in e14.
+    U = Unitriangular(4, 2)
+    e12 = (1, 0, 0, 0, 0, 0)
+    N = normal_closure([Element(U, e12)], U.generators())
+    assert N.elements.members == _normal_closure_loop(U, [e12], U.generator_coords(), 10_000)
+    assert N.order() == 8
+
+
+def test_closures_of_an_infinite_element_are_bounded():
+    HZ = Unitriangular(3, 0)
+    x = Element(HZ, (1, 0, 0))
+    for H in ([x], [Element(HZ, (0, 1, 0))]):
+        with pytest.raises(BudgetExceeded):
+            span(H, budget=50)
+        with pytest.raises(BudgetExceeded):
+            normal_closure(H, HZ.generators(), budget=50)
+
+
+# --------------------------------------------------------------------------
+# Cyclic membership
+
+_AB66 = FiniteAbelian((6, 6))
+_AB46 = FiniteAbelian((4, 6))
+_CYCLIC_CODOMAINS = [
+    FiniteAbelian((7,)),
+    FiniteAbelian((12,)),
+    FiniteAbelian((2, 4)),
+    _AB46,
+    FiniteAbelian((0,)),
+    FiniteAbelian((3, 0)),
+    FiniteAbelian((0, 0)),
+    QuotientView(_AB66, span([Element(_AB66, (2, 0))])),
+    QuotientView(_AB46, span([Element(_AB46, (2, 3))])),
+    QuotientView(FiniteAbelian((3, 3, 3)), span([Element(FiniteAbelian((3, 3, 3)), (1, 1, 0))])),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_CYCLIC_CODOMAINS), st.data())
+def test_cyclic_membership_matches_in_cyclic(G, data):
+    pool = _pool(G)
+    x = data.draw(st.sampled_from(pool))
+    in_x = _cyclic_membership(G, x, 10_000)
+    for w in pool:
+        assert in_x(w) == in_cyclic(G, x, w)
+
+
+# --------------------------------------------------------------------------
+# Power chains
+
+_POWER_GROUPS = [
+    FiniteAbelian((7,)),
+    FiniteAbelian((4, 6)),
+    FiniteAbelian((0,)),
+    FiniteAbelian((3, 0)),
+    Unitriangular(3, 3),
+    Unitriangular(4, 2),
+    _quotient(U3, [(0, 1, 0)]),
+]
+_POWER_POOLS = {G: _pool(G) for G in _POWER_GROUPS}
+
+
+@st.composite
+def _power_case(draw):
+    G = draw(st.sampled_from(_POWER_GROUPS))
+    members = set(draw(st.lists(st.sampled_from(_POWER_POOLS[G]), min_size=1, max_size=5)))
+    identity = G.identity_coords()
+    if draw(st.booleans()):
+        members.add(identity)
+    elif len(members) > 1:
+        members.discard(identity)
+    return GSet(G, members, _reduced=True), draw(st.integers(1, 7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_power_case())
+def test_power_chain_matches_plain_products(case):
+    A, n = case
+    assert [S.members for S in power_chain(A, n)] == _power_chain_plain(A, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_power_case(), st.data())
+def test_containment_radius_matches_plain_chain(case, data):
+    A, n = case
+    chain = _power_chain_plain(A, n)
+    s = data.draw(st.sampled_from(sorted(chain[-1])))
+    S = GSet(A.parent, [s], _reduced=True)
+    if s == A.parent.identity_coords():
+        assert containment_radius(S, A) == 0
+    else:
+        assert containment_radius(S, A) == min(k for k, P in enumerate(chain, 1) if s in P)
+
+
+def test_containment_radius_reports_escape_after_stabilisation():
+    Z12 = FiniteAbelian((12,))
+    A = GSet(Z12, [(0,), (4,)], _reduced=True)
+    with pytest.raises(ContainmentError):
+        containment_radius(GSet(Z12, [(1,)], _reduced=True), A)

@@ -48,9 +48,11 @@ def test_group_round_trip():
 
 
 def test_parse_group_errors():
-    for bad in ("xy:9", "ab:", "ut:3", "ut:1:5", "prod:(ab:2)"):
+    # ut:99999:2 is refused by its size alone, before any table is built.
+    for bad in ("xy:9", "ab:", "ut:3", "ut:1:5", "prod:(ab:2)", "ut:99999:2", "ut:9:0"):
         with pytest.raises(FormatError):
             parse_group(bad)
+    assert parse_group("ut:8:2") == Unitriangular(8, 2)
 
 
 def test_parse_coords():
@@ -103,6 +105,19 @@ def test_recipe_errors():
         generate_example("interval ut:3:0 L=3")  # needs one cyclic coordinate
     with pytest.raises(RecipeError):
         generate_example("mystery ab:5 size=3")
+    for bad in (
+        "progression ab:5 gens=1 bounds=x",
+        "progression ab:5 gens=1 bounds=-3",
+        "progression ab:5 gens=1|2 bounds=1",
+        "progression ut:3:5 gens=1 bounds=1",  # one coordinate, ut:3 needs three
+        "coset-union ab:12,12 sub=4 reps=1,0",
+        "coset-union ab:12,12 sub=4,0 reps=1",
+        "ball ab:5 radius=1 radius=2",  # repeated key
+        "ball ab:5 radius=1 size=2",  # key the kind does not read
+        "interval ab:5 radius=1",
+    ):
+        with pytest.raises(RecipeError):
+            generate_example(bad)
 
 
 def test_parse_recipe_structure():

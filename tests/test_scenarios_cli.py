@@ -111,6 +111,8 @@ def test_cli_failing_record_exit_one(tmp_path, capsys):
 def test_cli_bad_input_exit_two(capsys):
     assert main(["gen", "ball", "xy:9", "radius=1"]) == 2
     assert "FormatError" in capsys.readouterr().err
+    assert main(["gen", "progression", "ab:5", "gens=1", "bounds=x"]) == 2
+    assert "RecipeError" in capsys.readouterr().err
 
 
 def test_cli_malformed_scenario_file_exit_two(tmp_path, capsys):
