@@ -206,12 +206,23 @@ def predicate_slice_certificate(
     witnesses inside H (they are slice members) with displacement in A^2 ∩ H.
     """
     budget = resolve_budget(budget)
-    A = cert.aset
-    A2 = power(A, 2, budget)
-    slice_set = A2.filter(member)
+    A2 = power(cert.aset, 2, budget)
     A4 = product(A2, A2, budget)
-    T = A4.filter(member)
     X3 = power(cert.witness, 3, budget)
+    return _slice_certificate(cert, member, A2, A4, X3, budget)
+
+
+def _slice_certificate(
+    cert: ApproxCertificate, member, A2: GSet, A4: GSet, X3: GSet, budget: int
+) -> ApproxCertificate:
+    """predicate_slice_certificate given A², A⁴ and X³ of the certificate.
+
+    Callers slicing one certificate several times build the three powers
+    once and share them.
+    """
+    A = cert.aset
+    slice_set = A2.filter(member)
+    T = A4.filter(member)
     mul = A.parent.mul
     witnesses = []
     remaining = set(T.members)

@@ -91,9 +91,12 @@ def _cmd_cover(args) -> int:
 
 def _prog_spec(args) -> ProgressionSpec:
     parent = parse_group(args.group)
-    gens = tuple(parent.element(c) for c in parse_coord_list(args.gens))
-    bounds = tuple(int(b) for b in args.bounds.split(","))
-    return ProgressionSpec(gens, bounds)
+    try:
+        gens = tuple(parent.element(c) for c in parse_coord_list(args.gens))
+        bounds = tuple(int(b) for b in args.bounds.split(","))
+        return ProgressionSpec(gens, bounds)
+    except ValueError as e:  # coordinates of the wrong arity, bad or unmatched bounds
+        raise FormatError(f"bad progression --gens {args.gens!r} --bounds {args.bounds!r}: {e}")
 
 
 def _cmd_prog(args) -> int:
@@ -242,7 +245,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except GrowthLabError as e:
-        print(f"growthlab: {type(e).__name__}: {e}", file=sys.stderr)
+        where = ""
+        if getattr(e, "scenario", None) is not None:
+            where = f" (scenario {e.scenario!r}, op {e.scenario_op!r})"
+        print(f"growthlab: {type(e).__name__}: {e}{where}", file=sys.stderr)
         return 2
 
 

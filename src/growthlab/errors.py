@@ -12,14 +12,23 @@ class ParentMismatch(GrowthLabError):
 class BudgetExceeded(GrowthLabError):
     """An exact computation would exceed the element budget.
 
-    Raised instead of ever truncating a result.
+    Raised instead of ever truncating a result.  `run_scenario` names the
+    scenario and op it aborted in `scenario` and `scenario_op`.
     """
+
+    scenario: str | None = None
+    scenario_op: str | None = None
 
     def __init__(self, op: str, needed, budget: int):
         super().__init__(f"{op}: needs ~{needed} elements/iterations, budget is {budget}")
         self.op = op
         self.needed = needed
         self.budget = budget
+
+    def __reduce__(self):
+        # Rebuild from the fields, not the message, so the error (and the
+        # scenario it names) crosses a process pool intact.
+        return type(self), (self.op, self.needed, self.budget), self.__dict__
 
 
 class NotNilpotent(GrowthLabError):

@@ -311,16 +311,31 @@ class DirectProduct(GroupDescriptor):
             out += f.reduce(part)
         return out
 
+    @cached_property
+    def _slices(self) -> tuple[tuple[GroupDescriptor, slice], ...]:
+        """(factor, its coordinate slice) per factor, built once."""
+        return tuple((f, slice(off, off + f.arity)) for f, off in zip(self.factors, self.offsets))
+
+    # Factor kernels are looked up per call, so wrapping a factor class's
+    # `mul`/`inv` still sees the calls a product makes.
     def mul(self, a, b):
+        parts = self._slices
+        if len(parts) == 2:
+            (f, s), (g, t) = parts
+            return f.mul(a[s], b[s]) + g.mul(a[t], b[t])
         out: tuple[int, ...] = ()
-        for f, off in zip(self.factors, self.offsets):
-            out += f.mul(a[off:off + f.arity], b[off:off + f.arity])
+        for f, s in parts:
+            out += f.mul(a[s], b[s])
         return out
 
     def inv(self, a):
+        parts = self._slices
+        if len(parts) == 2:
+            (f, s), (g, t) = parts
+            return f.inv(a[s]) + g.inv(a[t])
         out: tuple[int, ...] = ()
-        for f, off in zip(self.factors, self.offsets):
-            out += f.inv(a[off:off + f.arity])
+        for f, s in parts:
+            out += f.inv(a[s])
         return out
 
     def identity_coords(self):

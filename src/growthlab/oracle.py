@@ -20,7 +20,7 @@ from .config import resolve_budget
 from .covering import RuzsaCover, ruzsa_cover
 from .errors import BudgetExceeded, CertificateError, NotAbelian
 from .groups import Element, commutator
-from .gset import GSet, inverse_set, product
+from .gset import GSet, inverse_set, power, product
 from .progressions import ProgressionSpec, ordered_progression
 from .subgroups import SubgroupHandle
 
@@ -35,8 +35,14 @@ def _require_commuting(A: GSet) -> None:
 
 
 def difference_body(A: GSet, budget: int | None = None) -> GSet:
-    """2A - 2A, exactly."""
+    """2A - 2A, exactly.
+
+    For A = A⁻¹ with 1 ∈ A this is A·A·A⁻¹·A⁻¹ = A⁴, taken from the power
+    walk, which multiplies only the newest layer of each power.
+    """
     budget = resolve_budget(budget)
+    if A.contains_identity() and A.is_symmetric():
+        return power(A, 4, budget)
     A2 = product(A, A, budget)
     neg = inverse_set(A)
     return product(product(A2, neg, budget), neg, budget)
@@ -77,9 +83,11 @@ def subgroups_within(D: GSet, budget: int | None = None) -> list[SubgroupHandle]
         for H2 in list(known):
             if H2 <= H1 or H1 <= H2:
                 continue  # nested: the join is the larger one, already known
-            join = {mul(a, b) for a in H1 for b in H2}
-            if len(join) > len(D):
+            # Commuting subgroups: |H1·H2| = |H1||H2| / |H1 ∩ H2|, so a join
+            # larger than D is known without multiplying it out.
+            if len(H1) * len(H2) > len(D) * len(H1 & H2):
                 continue
+            join = {mul(a, b) for a in H1 for b in H2}
             if not join <= D.members:
                 continue
             fs = frozenset(join)
@@ -184,6 +192,24 @@ def _join_cyclic(S: frozenset, x_coords: tuple, mul) -> frozenset:
         out |= coset
 
 
+def _popular_differences(A: GSet, D: GSet) -> list[tuple]:
+    """D∖{1} by popularity |A ∩ A·d|, most popular first, ties canonical.
+
+    |A ∩ A·d| counts the pairs (a, a') ∈ A² with a⁻¹a' = d, so |A|² products
+    score every d at once.  Members commute, so a⁻¹a' = a'·b·b⁻¹·a⁻¹ lies in
+    D = A·A·A⁻¹·A⁻¹; a d of D that no pair hits scores 0.
+    """
+    parent = A.parent
+    mul, inv = parent.mul, parent.inv
+    popularity = dict.fromkeys(D.members, 0)
+    for a in A.members:
+        ai = inv(a)
+        for b in A.members:
+            popularity[mul(ai, b)] += 1
+    del popularity[parent.identity_coords()]
+    return sorted(popularity, key=lambda d: (-popularity[d], d))
+
+
 def find_coset_progression(
     A: GSet,
     rank_max: int = 3,
@@ -213,14 +239,7 @@ def find_coset_progression(
     D = difference_body(A, budget)
     subs = subgroups_within(D, budget)
     mul = parent.mul
-    ident = parent.identity_coords()
-    popularity = {}
-    for d in D.members:
-        if d == ident:
-            continue
-        shifted = {mul(a, d) for a in A.members}
-        popularity[d] = len(shifted & A.members)
-    candidates = sorted(popularity, key=lambda d: (-popularity[d], d))
+    candidates = _popular_differences(A, D)
     examined = 0
     best = None
     best_key = None

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .approx import ApproxCertificate, certify, predicate_slice_certificate
+from .approx import ApproxCertificate, _slice_certificate, certify
 from .config import resolve_budget
 from .covering import Meter, chang_cover, meets_translated, ruzsa_cover
 from .errors import (
@@ -190,21 +190,31 @@ def abelianization(parent) -> Projection:
 # Cyclic membership in abelian codomains
 
 
-def _in_cyclic_free(moduli, x, w) -> bool:
-    """Solve w = k*x coordinate-wise when some free coordinate pins k."""
-    for j, m in enumerate(moduli):
-        if m == 0 and x[j] != 0:
-            if w[j] % x[j] != 0:
-                return False
-            k = w[j] // x[j]
-            for t, mt in enumerate(moduli):
-                if mt == 0:
-                    if w[t] != k * x[t]:
-                        return False
-                elif (k * x[t] - w[t]) % mt != 0:
+def _free_ratio_test(moduli, x):
+    """w ∈ ⟨x⟩ as a ratio check, when a free coordinate of x pins the exponent.
+
+    Returns None when x is 0 on every free coordinate.  Otherwise the first
+    free coordinate j with x_j ≠ 0 fixes k = w_j / x_j once per query, and
+    every coordinate is checked against k·x.
+    """
+    pins = [j for j, m in enumerate(moduli) if m == 0 and x[j] != 0]
+    if not pins:
+        return None
+    j = pins[0]
+    xj = x[j]
+    rows = tuple(zip(x, moduli))
+
+    def test(w):
+        k = w[j] // xj  # inexact division fails the check at j itself
+        for wt, (xt, mt) in zip(w, rows):
+            if mt == 0:
+                if wt != k * xt:
                     return False
-            return True
-    raise ValueError("no free pinning coordinate")
+            elif (k * xt - wt) % mt != 0:
+                return False
+        return True
+
+    return test
 
 
 def in_cyclic(parent, x_coords, w_coords) -> bool:
@@ -227,8 +237,9 @@ def in_cyclic(parent, x_coords, w_coords) -> bool:
         )
     if isinstance(parent, FiniteAbelian):
         moduli = parent.moduli
-        if any(m == 0 and x[j] != 0 for j, m in enumerate(moduli)):
-            return _in_cyclic_free(moduli, x, w)
+        test = _free_ratio_test(moduli, x)
+        if test is not None:
+            return test(w)
         if any(m == 0 and w[j] != 0 for j, m in enumerate(moduli)):
             return False
         n = 1
@@ -247,13 +258,18 @@ def in_cyclic(parent, x_coords, w_coords) -> bool:
 def _cyclic_membership(parent, x_coords, budget: int):
     """Test w ∈ ⟨x⟩ for reduced coordinates w of an abelian parent.
 
-    In a finite parent ⟨x⟩ is enumerated once (ord(x) products, under the
-    budget), so each query is one set lookup; an infinite parent asks
-    `in_cyclic`, which solves for the exponent there.
+    In an `ab:` parent where a free coordinate of x is nonzero, each query
+    is one ratio check.  Otherwise, if ⟨x⟩ is finite it is enumerated once
+    (ord(x) products, under the budget), so each query is one set lookup;
+    an infinite quotient-presented parent asks `in_cyclic`.
     """
-    if not parent.is_finite():
-        return lambda w: in_cyclic(parent, x_coords, w)
     x = parent.reduce(tuple(x_coords))
+    if isinstance(parent, FiniteAbelian):
+        test = _free_ratio_test(parent.moduli, x)
+        if test is not None:
+            return test
+    elif not parent.is_finite():
+        return lambda w: in_cyclic(parent, x, w)
     identity = parent.identity_coords()
     members = {identity}
     cur = x
@@ -390,9 +406,22 @@ def abelian_factorization(
     product blows the pair budget while the fibres themselves stay finite).
     """
     budget = resolve_budget(budget)
+    return _factorize(cert, rank_max, budget, with_product, None)[0]
+
+
+def _factorize(
+    cert: ApproxCertificate, rank_max: int, budget: int, with_product: bool, step: int | None
+):
+    """abelian_factorization of a set whose step is known (None: compute it).
+
+    Also returns the power chain [A, ..., A²⁴] and one fibre predicate per
+    factor (π⁻¹(H) first, then π⁻¹(⟨x_i⟩)).  The predicates look π(c) up in
+    a table built once over A²⁴, which holds every power of A up to 24
+    because 1 ∈ A.
+    """
     A = cert.aset
-    elems = list(A.elements())
-    step = step_of_generated(elems, budget)
+    if step is None:
+        step = step_of_generated(list(A.elements()), budget)
     if step < 2:
         raise StepTooLow(f"factorization needs step >= 2, got {step}")
     proj = abelianization(A.parent)
@@ -400,12 +429,15 @@ def abelian_factorization(
     res = find_coset_progression(Abar, rank_max=rank_max, budget=budget)
     chain = power_chain(A, 24, budget)
     A18, A24 = chain[17], chain[23]
+    apply = proj.apply
+    pi = {c: apply(c) for c in A24.members}
     H_members = res.best.H.elements.members
-    H_part = A18.filter(lambda c: proj.apply(c) in H_members)
-    parts = []
+    fibres = [lambda c: pi[c] in H_members]
     for x in res.best.generators:
         in_x = _cyclic_membership(proj.codomain, x.coords, budget)
-        parts.append(A24.filter(lambda c: in_x(proj.apply(c))))
+        fibres.append(lambda c, in_x=in_x: in_x(pi[c]))
+    H_part = A18.filter(fibres[0])
+    parts = [A24.filter(f) for f in fibres[1:]]
     product_size = density = None
     if with_product:
         prod = H_part
@@ -413,7 +445,8 @@ def abelian_factorization(
             prod = product(prod, part, budget)
         product_size = len(prod)
         density = Fraction(product_size, len(A))
-    return Factorization(H_part, tuple(parts), product_size, density, res, proj, step)
+    fac = Factorization(H_part, tuple(parts), product_size, density, res, proj, step)
+    return fac, chain, fibres
 
 
 # --------------------------------------------------------------------------
@@ -539,15 +572,6 @@ def normal_closure_radius(
     return N, radius
 
 
-def _project_certificate(view, cert: ApproxCertificate, budget: int) -> ApproxCertificate:
-    """Certificate for the image of a certified set under a quotient."""
-    return certify(
-        quotient_project(view, cert.aset),
-        quotient_project(view, cert.witness),
-        budget,
-    )
-
-
 def step_reduction(
     cert: ApproxCertificate,
     ambient: ApproxCertificate,
@@ -564,6 +588,24 @@ def step_reduction(
     step.  Abelian input degenerates to a single factor Ã with N trivial.
     """
     budget = resolve_budget(budget)
+    return _reduce_step(cert, ambient, m, rank_max, budget, None)[0]
+
+
+def _reduce_step(
+    cert: ApproxCertificate,
+    ambient: ApproxCertificate,
+    m: int,
+    rank_max: int,
+    budget: int,
+    step: int | None,
+):
+    """step_reduction of a set whose step is known (None: compute it).
+
+    Also returns what the step-drop check and the factor product already
+    built: each factor's set in the reduced parent, the step of each, and
+    the product of the factors in order.  The slices share one A², one A⁴
+    (from the factorization's power chain) and one X³.
+    """
     A_t = cert.aset
     parent = A_t.parent
     amb_parent = ambient.aset.parent
@@ -579,29 +621,26 @@ def step_reduction(
     if not A_t.members <= shadow.members:
         raise ContainmentError("the set is not inside the declared power of A")
 
-    step = step_of_generated(list(A_t.elements()), budget)
+    if step is None:
+        step = step_of_generated(list(A_t.elements()), budget)
     trivial_N = SubgroupHandle(
         parent, GSet.identity_set(parent), (), True, frozenset()
     )
     if step <= 1:
-        return StepReduction(
+        red = StepReduction(
             trivial_N, 0, 1, (cert,), True, step, None, None, len(A_t)
         )
+        return red, [A_t], [step], A_t
 
-    fac = abelian_factorization(
-        cert, rank_max=rank_max, budget=budget,
-        with_product=parent.is_finite(),
+    fac, chain, fibres = _factorize(
+        cert, rank_max, budget, parent.is_finite(), step
     )
     proj = fac.projection
-    H_members = fac.oracle.best.H.elements.members
+    X3 = power(cert.witness, 3, budget)
     factors = [
-        predicate_slice_certificate(cert, lambda c: proj.apply(c) in H_members, budget)
+        _slice_certificate(cert, member, chain[1], chain[3], X3, budget)
+        for member in fibres
     ]
-    for x in fac.oracle.best.generators:
-        in_x = _cyclic_membership(proj.codomain, x.coords, budget)
-        factors.append(
-            predicate_slice_certificate(cert, lambda c: in_x(proj.apply(c)), budget)
-        )
 
     lifted = [proj.section_element(h.coords) for h in fac.oracle.best.H.gen_elements()]
     g0_gens = lifted + [Element(parent, g.coords) for g in proj.kernel_gens]
@@ -633,20 +672,23 @@ def step_reduction(
             reduced_parent = QuotientView(amb_parent, N)
         reduced_sets = [quotient_project(reduced_parent, f.aset) for f in factors]
 
+    steps = []
     for k, S in enumerate(reduced_sets):
         dropped = step_of_generated(list(S.elements()), budget)
         if dropped >= step:
             raise StepDropFailed(
                 f"factor {k} kept step {dropped} (input step {step})"
             )
+        steps.append(dropped)
 
     prod = factors[0].aset
     for f in factors[1:]:
         prod = product(prod, f.aset, budget)
-    return StepReduction(
+    red = StepReduction(
         N, N_radius, len(factors) - 1, tuple(factors), True, step,
         fac, reduced_parent, len(prod),
     )
+    return red, reduced_sets, steps, prod
 
 
 # --------------------------------------------------------------------------
@@ -709,16 +751,19 @@ def _expand(
     budget: int,
     logs: list[str],
     depth: int,
+    step: int,
 ) -> tuple[list[SubgroupHandle], list[Piece]]:
-    """Recursive cover: sparse + progression pieces plus normal contributions."""
+    """Recursive cover: sparse + progression pieces plus normal contributions.
+
+    `step` is the nilpotency step of cert.aset, known to the caller.
+    """
     parent = cert.aset.parent
     is_view = isinstance(parent, QuotientView)
     base = parent.base if is_view else parent
-    step = step_of_generated(list(cert.aset.elements()), budget)
 
     if step <= 1:
         res = find_coset_progression(cert.aset, rank_max=config.rank_max, budget=budget)
-        sc = derive_sanders_cover(cert.aset, res, budget)
+        sc = derive_sanders_cover(cert.aset, res, budget, K=cert.K_lower)
         logs.append(
             f"depth {depth}: base case |A~|={len(cert.aset)} rank={res.best.rank} "
             f"|H~|={res.best.H.order()} |X|={len(sc.X)}"
@@ -742,28 +787,29 @@ def _expand(
             )
         return normals, pieces
 
-    red = step_reduction(cert, ambient, m, rank_max=config.rank_max, budget=budget)
-    B = red.factors[0].aset
-    for f in red.factors[1:]:
-        B = product(B, f.aset, budget)
+    red, reduced_sets, steps, B = _reduce_step(
+        cert, ambient, m, config.rank_max, budget, step
+    )
     rc = ruzsa_cover(cert.aset, B, budget)
     logs.append(
         f"depth {depth}: step {red.step_in} -> r={red.r} |N|={red.N.order()} "
         f"N_radius={red.N_radius} |B|={len(B)} |X_top|={len(rc.X)}"
     )
     normals: list[SubgroupHandle] = []
-    if red.reduced_parent is not None:
-        normals.append(red.reduced_parent.kernel)
+    view = red.reduced_parent
+    if view is not None:
+        normals.append(view.kernel)
         sub_certs = [
-            _project_certificate(red.reduced_parent, f, budget) for f in red.factors
+            certify(S, quotient_project(view, f.witness), budget)
+            for S, f in zip(reduced_sets, red.factors)
         ]
     else:
         sub_certs = list(red.factors)
     pieces: list[Piece] = [Piece("sparse", GSet(base, rc.X.members))]
     factor_pieces: list[list[Piece]] = []
-    for f in sub_certs:
+    for f, sub_step in zip(sub_certs, steps):
         sub_normals, sub_pieces = _expand(
-            f, ambient, 2 * m, config, budget, logs, depth + 1
+            f, ambient, 2 * m, config, budget, logs, depth + 1, sub_step
         )
         normals.extend(sub_normals)
         factor_pieces.append(sub_pieces)
@@ -781,14 +827,25 @@ def _chain_product(start: GSet, sets, budget: int) -> GSet:
     return out
 
 
+def _suffix_products(sets: list[GSet], budget: int) -> list[GSet]:
+    """[S_0, ..., S_{n-1}] with S_i = X_i·X_{i+1}···X_{n-1}, built right to left."""
+    out: list[GSet] = []
+    for S in reversed(sets):
+        out.append(product(S, out[-1], budget) if out else S)
+    out.reverse()
+    return out
+
+
 def _pigeonhole(
-    H_set: GSet, pieces: list[Piece], budget: int
+    H_set: GSet, pieces: list[Piece], suffix: list[GSet], budget: int
 ) -> list[Piece]:
     """Greedy exact choice of u_i per sparse piece, left to right.
 
     Chosen positions contribute their singleton; positions not yet decided
     contribute their full set, so each maximization is a union-bound step
-    and |H·∏(chosen)| never falls under |H·∏(full)| / ∏|X_i|.
+    and |H·∏(chosen)| never falls under |H·∏(full)| / ∏|X_i|.  `suffix` is
+    `_suffix_products` of the pieces' sets: a candidate u at position i
+    scores |left·u·S_{i+1}|, one product per candidate.
     """
     final: list[Piece] = []
     left = H_set
@@ -802,11 +859,11 @@ def _pigeonhole(
         if len(candidates) == 1:
             best = candidates[0]
         else:
-            suffix = [p.members for p in pieces[i + 1:]]
+            rest = suffix[i + 1] if i + 1 < len(suffix) else None
             best, best_score = None, -1
             for u in candidates:
-                u_set = GSet(base, [u], _reduced=True)
-                score = len(_chain_product(product(left, u_set, budget), suffix, budget))
+                shifted = product(left, GSet(base, [u], _reduced=True), budget)
+                score = len(shifted if rest is None else product(shifted, rest, budget))
                 if score > best_score:
                     best, best_score = u, score
         u_el = Element(base, best)
@@ -849,7 +906,7 @@ def decompose(cert: ApproxCertificate, config: PipelineConfig | None = None) -> 
             cert.K_upper, radius_H, 0, 0, Fraction(1), tuple(logs),
         )
 
-    normals, raw_pieces = _expand(cert, cert, 1, config, budget, logs, 0)
+    normals, raw_pieces = _expand(cert, cert, 1, config, budget, logs, 0, step)
     gen_pool: list[Element] = []
     for N in normals:
         if not N.is_trivial():
@@ -862,12 +919,14 @@ def decompose(cert: ApproxCertificate, config: PipelineConfig | None = None) -> 
     if H.is_normal is not True:
         raise ContainmentError("assembled H is not normalised by A")
 
-    covered = _chain_product(H.elements, (p.members for p in raw_pieces), budget)
+    suffix = _suffix_products([p.members for p in raw_pieces], budget)
+    covered = product(H.elements, suffix[0], budget)
     AH = product(A, H.elements, budget)
     if not AH.members <= covered.members:
         raise ContainmentError("H·(product of pieces) missed part of A·H")
 
-    pieces = _pigeonhole(H.elements, raw_pieces, budget)
+    pieces = _pigeonhole(H.elements, raw_pieces, suffix, budget)
+    del suffix, covered  # the largest sets so far; free them before P_realized
     gens: list[Element] = []
     bounds: list[int] = []
     for p in pieces:

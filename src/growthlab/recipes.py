@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .config import resolve_budget
-from .errors import RecipeError
+from .errors import BudgetExceeded, RecipeError
 from .groups import DirectProduct, Element, FiniteAbelian, Unitriangular
 from .gset import GSet, power, symmetrize
 from .progressions import ProgressionSpec, ordered_progression
@@ -94,11 +94,13 @@ def _ball(parent, radius: int, budget: int) -> GSet:
     return power(S, max(radius, 1), budget) if radius else GSet.identity_set(parent)
 
 
-def _interval(parent, L: int) -> GSet:
+def _interval(parent, L: int, budget: int) -> GSet:
     if not isinstance(parent, FiniteAbelian) or len(parent.moduli) != 1:
         raise RecipeError("interval needs a one-coordinate abelian group")
     if L < 0:
         raise RecipeError("interval length must be nonnegative")
+    if 2 * L + 1 > budget:
+        raise BudgetExceeded("interval", 2 * L + 1, budget)
     return GSet(parent, [(i,) for i in range(-L, L + 1)])
 
 
@@ -188,7 +190,7 @@ def generate_example(recipe: Recipe | str, budget: int | None = None) -> GSet:
     if recipe.kind == "ball":
         return _ball(parent, _int_param(recipe, "radius"), budget)
     if recipe.kind == "interval":
-        return _interval(parent, _int_param(recipe, "L"))
+        return _interval(parent, _int_param(recipe, "L"), budget)
     if recipe.kind == "progression":
         return _progression(parent, recipe, budget)
     if recipe.kind == "coset-union":

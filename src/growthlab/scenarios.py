@@ -69,6 +69,8 @@ class Scenario:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Scenario":
+        if not isinstance(obj, dict):
+            raise FormatError(f"scenario must be a JSON object, got {type(obj).__name__}")
         try:
             if int(obj.get("schema", SCHEMA)) != SCHEMA:
                 raise FormatError(f"unsupported scenario schema {obj['schema']!r}")
@@ -144,6 +146,18 @@ def _int_list(v) -> tuple[int, ...]:
     return tuple(int(x) for x in str(v).split(","))
 
 
+def _int_from(low: int):
+    """int conversion that refuses values below `low`."""
+
+    def check(v):
+        n = int(v)
+        if n < low:
+            raise ValueError(f"must be at least {low}")
+        return n
+
+    return check
+
+
 def _one_of(*choices):
     def check(v):
         if v not in choices:
@@ -159,24 +173,24 @@ _RANK_MAX = (int, 3)
 # op name -> {parameter: (converter, default)}.  Defaults are not converted;
 # keys not listed pass through.
 _PARAMS = {
-    "stats": {"n": (int, 3)},
+    "stats": {"n": (_int_from(1), 3)},
     "certify": {},
     "ruzsa": {"b": _RECIPE},
-    "chang": {"m": (int, 2), "b_size": (int, 3), "b_seed": (int, 0), "c0": (float, 8.0)},
-    "slice": {"b": _RECIPE, "m": (int, _REQUIRED), "n": (int, _REQUIRED)},
+    "chang": {"m": (_int_from(0), 2), "b_size": (_int_from(1), 3), "b_seed": (int, 0), "c0": (float, 8.0)},
+    "slice": {"b": _RECIPE, "m": (_int_from(1), _REQUIRED), "n": (_int_from(1), _REQUIRED)},
     "chain": {
         "gens": (lambda v: parse_coord_list(_text(v)), _REQUIRED),
         "bounds": (_int_list, _REQUIRED),
-        "step": (int, None),
+        "step": (_int_from(1), None),
     },
     "plunnecke": {"limit": (int, 5), "mmax": (int, 4), "nmax": (int, 4)},
-    "hom": {"kind": (_one_of("lift", "dilate", "embed"), "lift"), "lam": (int, 2), "second": (int, 5)},
+    "hom": {"kind": (_one_of("lift", "dilate", "embed"), "lift"), "lam": (int, 2), "second": (_int_from(0), 5)},
     "oracle": {"rank_max": _RANK_MAX},
     "sanders": {"rank_max": _RANK_MAX},
     "section": {},
-    "pullback": {"take": (int, None), "m": (int, 1), "c": (lambda v: Fraction(str(v)), Fraction(1))},
+    "pullback": {"take": (int, None), "m": (_int_from(0), 1), "c": (lambda v: Fraction(str(v)), Fraction(1))},
     "factorize": {"rank_max": _RANK_MAX},
-    "reduce": {"m": (int, 1), "rank_max": _RANK_MAX},
+    "reduce": {"m": (_int_from(0), 1), "rank_max": _RANK_MAX},
     "decompose": {},
     "corollary": {"which": (_one_of("ruzsa", "chang"), _REQUIRED)},
 }
@@ -292,8 +306,11 @@ def _op_slice(state, params, budget):
 
 def _op_chain(state, params, budget):
     parent = state["set"].parent
-    gens = tuple(Element(parent, c) for c in params["gens"])
-    spec = ProgressionSpec(gens, params["bounds"])
+    try:
+        gens = tuple(parent.element(c) for c in params["gens"])
+        spec = ProgressionSpec(gens, params["bounds"])
+    except ValueError as e:  # coordinates of the wrong arity, bounds that do not match
+        raise FormatError(f"op 'chain': {e}")
     step = params["step"]
     cc = verify_chain(spec, step, budget)
     return {
@@ -489,7 +506,15 @@ def _op_reduce(state, params, budget):
 
 def _op_decompose(state, params, budget):
     cert = _need_cert(state, budget)
-    dec = decompose(cert, PipelineConfig(budget=budget))
+    try:
+        dec = decompose(cert, PipelineConfig(budget=budget))
+    except BudgetExceeded:
+        raise
+    except GrowthLabError as e:
+        # decompose is deterministic in (cert, budget): a later corollary
+        # re-raises this error instead of running it again.
+        state["dec"] = e
+        raise
     state["dec"] = dec
     rec = dec.to_report()
     rec["h_normal"] = dec.H.is_normal is True
@@ -499,8 +524,11 @@ def _op_decompose(state, params, budget):
 def _op_corollary(state, params, budget):
     if "dec" not in state:
         _op_decompose(state, _op_params({"op": "decompose"}), budget)
+    dec = state["dec"]
+    if isinstance(dec, GrowthLabError):
+        raise dec
     which = params["which"]
-    rep = corollary_covers(state["dec"], state["cert"], which, budget)
+    rep = corollary_covers(dec, state["cert"], which, budget)
     if which == "ruzsa":
         return {
             "which": which,
@@ -560,10 +588,19 @@ _HARD_KEYS = (
 
 
 def run_scenario(scenario: Scenario, budget: int | None = None) -> Report:
-    """Execute the ops in order; records failures, aborts only on budget."""
+    """Execute the ops in order; records failures, aborts only on budget.
+
+    A BudgetExceeded leaves with `scenario` and `scenario_op` set to the
+    scenario's name and the op that ran out ("recipe" while building the
+    set); it is the same exception object, traceback included.
+    """
     budget = resolve_budget(budget)
     report = Report(scenario.name)
-    state = {"set": generate_example(scenario.recipe, budget)}
+    try:
+        state = {"set": generate_example(scenario.recipe, budget)}
+    except BudgetExceeded as e:
+        e.scenario, e.scenario_op = scenario.name, "recipe"
+        raise
     for op in scenario.ops:
         name = op.get("op")
         params = _op_params(op)
@@ -577,7 +614,8 @@ def run_scenario(scenario: Scenario, budget: int | None = None) -> Report:
             hard_ok = all(bool(out[k]) for k in _HARD_KEYS if k in out)
             rec.update(out)
             rec["passed"] = hard_ok
-        except BudgetExceeded:
+        except BudgetExceeded as e:
+            e.scenario, e.scenario_op = scenario.name, name
             raise
         except GrowthLabError as e:
             rec.update({"passed": False, "error": f"{type(e).__name__}: {e}"})

@@ -283,7 +283,9 @@ class QuotientView:
     def reduce(self, coords):
         # Cache keys are canonical base coordinates, so a hit on the raw input
         # is exact; base arithmetic already returns canonical tuples, which
-        # keeps base.reduce off the hot path of mul and inv.
+        # keeps base.reduce off the hot path of mul and inv.  A miss computes
+        # the whole coset c·K and files its least member under every member:
+        # c'·K = c·K for each c' in it.
         cache = self._rep_cache
         if type(coords) is tuple:
             r = cache.get(coords)
@@ -293,8 +295,9 @@ class QuotientView:
         r = cache.get(c)
         if r is None:
             mul = self.base.mul
-            r = min(mul(c, k) for k in self._kernel_sorted)
-            cache[c] = r
+            coset = [mul(c, k) for k in self._kernel_sorted]
+            r = min(coset)
+            cache.update(dict.fromkeys(coset, r))
         return r
 
     def mul(self, a, b):

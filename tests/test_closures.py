@@ -2,11 +2,14 @@
 
 `span` grows a subgroup coset by coset, `normal_closure` conjugates only the
 generators it adjoined, the step reduction enumerates each cyclic subgroup
-once per generator, and `powers` multiplies only the newest layer of a power
-chain.  The functions under "Reference loops" are the plain versions they
-replaced (for cyclic membership the reference is `in_cyclic` itself, which
-keeps its per-call walk); hypothesis pins each fast path to them.
+once per generator (or, where a free coordinate pins the exponent, tests a
+ratio), and `powers` multiplies only the newest layer of a power chain.  The
+functions under "Reference loops" are the plain versions they replaced (for
+cyclic membership the references are `in_cyclic` itself and a search over
+every exponent that can work); hypothesis pins each fast path to them.
 """
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,6 +231,47 @@ def test_cyclic_membership_matches_in_cyclic(G, data):
     in_x = _cyclic_membership(G, x, 10_000)
     for w in pool:
         assert in_x(w) == in_cyclic(G, x, w)
+
+
+def _in_cyclic_search(G, x, w):
+    """w = k·x for some integer k, tried over every k that can work.
+
+    A free coordinate j with x_j ≠ 0 forces |k| ≤ |w_j|; otherwise ⟨x⟩ is
+    finite and its order divides the lcm of the finite moduli.
+    """
+    pinned = [abs(w[j]) for j, m in enumerate(G.moduli) if m == 0 and x[j]]
+    if pinned:
+        ks = range(-max(pinned), max(pinned) + 1)
+    else:
+        ks = range(math.lcm(*(m for m in G.moduli if m)))
+    return any(G.reduce(tuple(k * c for c in x)) == w for k in ks)
+
+
+_FREE_CODOMAINS = [
+    FiniteAbelian((0,)),
+    FiniteAbelian((0, 0)),
+    FiniteAbelian((3, 0)),
+    FiniteAbelian((0, 4)),
+    FiniteAbelian((4, 0, 6)),
+    FiniteAbelian((0, 0, 5)),
+]
+
+
+def _box(G, r):
+    return st.tuples(*[st.integers(0, m - 1) if m else st.integers(-r, r) for m in G.moduli])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FREE_CODOMAINS), st.data())
+def test_free_codomain_cyclic_test_matches_exponent_search(G, data):
+    x = data.draw(_box(G, 3))
+    in_x = _cyclic_membership(G, x, 10_000)
+    multiples = st.integers(-5, 5).map(lambda k: G.reduce(tuple(k * c for c in x)))
+    ws = data.draw(st.lists(st.one_of(_box(G, 12), multiples), min_size=1, max_size=8))
+    for w in ws:
+        expected = _in_cyclic_search(G, x, w)
+        assert in_x(w) == expected
+        assert in_cyclic(G, x, w) == expected
 
 
 # --------------------------------------------------------------------------

@@ -2,14 +2,16 @@
 
 The backends in `growthlab.groups` specialise `reduce`/`mul`/`inv` per
 descriptor (one-coordinate abelian groups, straight-line UT(3), a
-precomputed index-pair table for larger n).  The functions below are the
-generic implementations they replaced; every fast path must agree with
-them on arbitrary integer input, including entries far beyond 64 bits.
+precomputed index-pair table for larger n, precomputed factor slices for
+direct products), and `QuotientView.reduce` fills its cache a whole coset
+at a time.  The functions below are the generic implementations they
+replaced; every fast path must agree with them on arbitrary integer input,
+including entries far beyond 64 bits.
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import FiniteAbelian, Unitriangular
+from growthlab import FiniteAbelian, Unitriangular, parse_group
 from growthlab.subgroups import QuotientView, derived_subgroup, normal_closure, span
 
 
@@ -62,6 +64,21 @@ def ref_ut_inv(G: Unitriangular, a):
                 v -= a[idx[(i, t)]] * e[(t, j)]
             e[(i, j)] = _reduce_mod(v, m)
     return tuple(e[p] for p in G.positions)
+
+
+def ref_product_mul(G, a, b):
+    """The generic per-factor loop: slice, multiply in the factor, concatenate."""
+    out = ()
+    for f, off in zip(G.factors, G.offsets):
+        out += f.mul(a[off:off + f.arity], b[off:off + f.arity])
+    return out
+
+
+def ref_product_inv(G, a):
+    out = ()
+    for f, off in zip(G.factors, G.offsets):
+        out += f.inv(a[off:off + f.arity])
+    return out
 
 
 def ref_quotient_reduce(q: QuotientView, coords):
@@ -161,11 +178,60 @@ def test_quotient_reduce_matches_base_reduce_first(which, data):
     assert all(q.base.reduce(key) == key for key in q._rep_cache)
 
 
+def _coset_fill_views():
+    """(base, kernel) of quotients of ut:3:p and ut:4:2, built fresh per example."""
+    out = []
+    for p in (2, 3, 5):
+        U = Unitriangular(3, p)
+        out.append((U, derived_subgroup(U.generators())))
+        out.append((U, span([U.element((1, 0, 0))])))  # not normal: cosets still exact
+    U4 = Unitriangular(4, 2)
+    out.append((U4, normal_closure(span([U4.element((1, 0, 0, 0, 0, 0))]), U4.generators())))
+    out.append((U4, derived_subgroup(U4.generators())))
+    return out
+
+
+_FILL_VIEWS = _coset_fill_views()
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(range(len(_FILL_VIEWS))), st.data())
+def test_quotient_coset_fill_matches_reference(which, data):
+    base, kernel = _FILL_VIEWS[which]
+    q = QuotientView(base, kernel)
+    raws = data.draw(st.lists(_coords(q.arity, st.integers(-40, 40)), min_size=1, max_size=6))
+    for raw in raws:
+        assert q.reduce(raw) == ref_quotient_reduce(q, raw)
+    # Every cached entry is the least member of its key's coset, and every
+    # coset met is cached whole.
+    cache = q._rep_cache
+    for key, rep in cache.items():
+        assert rep == ref_quotient_reduce(q, key)
+    assert len(cache) == len(kernel.elements) * len(set(cache.values()))
+
+
+_PRODUCTS = (parse_group("prod:(ab:2);(ut:3:3)"), parse_group("prod:(ab:0,5);(ut:3:0);(ut:4:2)"))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_PRODUCTS), st.data())
+def test_direct_product_matches_per_factor_loop(G, data):
+    a, b = data.draw(_coords(G.arity)), data.draw(_coords(G.arity))
+    assert G.mul(a, b) == ref_product_mul(G, a, b)
+    assert G.inv(a) == ref_product_inv(G, a)
+    ca, cb = G.reduce(a), G.reduce(b)
+    assert G.mul(ca, cb) == ref_product_mul(G, ca, cb)
+    assert G.mul(ca, G.inv(ca)) == G.identity_coords()
+
+
 def test_kernels_stay_class_level_and_tables_stay_out_of_equality():
     # Tracing wraps the class attributes, so instances must not shadow them.
     G = Unitriangular(4, 0)
     assert G.mul((1,) * 6, (2,) * 6) == ref_ut_mul(G, (1,) * 6, (2,) * 6)
     fresh = Unitriangular(4, 0)
     assert G == fresh and hash(G) == hash(fresh)
-    for obj in (G, FiniteAbelian((5,)), _QUOTIENTS[0]):
+    P = _PRODUCTS[0]
+    assert P.mul(P.identity_coords(), P.identity_coords()) == P.identity_coords()
+    assert P == parse_group("prod:(ab:2);(ut:3:3)") and hash(P) == hash(parse_group("prod:(ab:2);(ut:3:3)"))
+    for obj in (G, FiniteAbelian((5,)), _QUOTIENTS[0], P):
         assert "mul" not in vars(obj) and "inv" not in vars(obj)

@@ -2,8 +2,10 @@
 derived Sanders-style cover with its Plünnecke size bound.
 
 The search skips candidates whose answer it already knows (stabiliser skip,
-frontier growth, nested-join skip).  The functions under "Reference search"
-are the plain loops it replaced; hypothesis pins the search to them.
+frontier growth, nested-join skip, size prefilter on joins), scores every
+difference by counting pairs, and takes 2A-2A of a symmetric set from the
+power walk.  The functions under "Reference search" are the plain loops it
+replaced; hypothesis pins the search and each shortcut to them.
 """
 from dataclasses import fields
 from fractions import Fraction
@@ -29,11 +31,14 @@ from growthlab import (
     SubgroupHandle,
     Unitriangular,
     derived_subgroup,
+    inverse_set,
     ordered_progression,
     power,
     product,
     span,
+    symmetrize,
 )
+from growthlab.oracle import _popular_differences, subgroups_within
 from growthlab.recipes import generate_example
 
 
@@ -165,17 +170,28 @@ def ref_grow_slot(realized, x, D):
         L += 1
 
 
-def ref_find_coset_progression(A, rank_max):
-    """(H, generators, bounds, realized, density, search_log, body_size)."""
+def ref_difference_body(A):
+    """A·A·A⁻¹·A⁻¹ by whole products."""
+    neg = inverse_set(A)
+    return product(product(product(A, A), neg), neg)
+
+
+def ref_popular_differences(A, D):
+    """D∖{1} ranked by |A ∩ A·d|, each d scored by shifting the whole set."""
     mul = A.parent.mul
     ident = A.parent.identity_coords()
-    D = difference_body(A)
     popularity = {
         d: len({mul(a, d) for a in A.members} & A.members)
         for d in D.members
         if d != ident
     }
-    candidates = sorted(popularity, key=lambda d: (-popularity[d], d))
+    return sorted(popularity, key=lambda d: (-popularity[d], d))
+
+
+def ref_find_coset_progression(A, rank_max):
+    """(H, generators, bounds, realized, density, search_log, body_size)."""
+    D = ref_difference_body(A)
+    candidates = ref_popular_differences(A, D)
     examined = 0
     best_key = best = None
     for H in ref_subgroups_within(D):
@@ -289,3 +305,19 @@ def test_search_matches_reference_free(A):
 @given(_quotient_commuting())
 def test_search_matches_reference_heisenberg_quotient(A):
     _assert_matches_reference(A)
+
+
+_COMMUTING_SETS = st.one_of(_one_coordinate(), _mixed(), _free(), _quotient_commuting())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COMMUTING_SETS, st.booleans())
+def test_oracle_shortcuts_match_plain_loops(A, symmetric):
+    # Symmetric sets with 1 take 2A-2A = A⁴ from the power walk; the others
+    # take the product chain.
+    if symmetric:
+        A = symmetrize(A)
+    D = difference_body(A)
+    assert D.members == ref_difference_body(A).members
+    assert _popular_differences(A, D) == ref_popular_differences(A, D)
+    assert [H.elements.members for H in subgroups_within(D)] == ref_subgroups_within(D)

@@ -1,8 +1,16 @@
 """The decomposition pipeline: abelianization, sections, fibres,
-step reduction, the full recursion, and the two corollary covers."""
+step reduction, the full recursion, and the two corollary covers.
+
+The step reduction shares one power chain, one X³ and one table of π(c)
+among its slices, and the pigeonhole scores candidates against a suffix
+table.  "Shared values against the plain versions" keeps the versions
+they replaced and pins the shortcuts to them.
+"""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthlab import (
     CertificateError,
@@ -27,11 +35,16 @@ from growthlab import (
     in_cyclic,
     ordered_progression,
     power,
+    predicate_slice_certificate,
+    product,
     pullback_check,
     quotient_project,
+    span,
     step_reduction,
     word_radius_bound,
 )
+from growthlab.approx import _slice_certificate
+from growthlab.pipeline import Piece, _factorize, _pigeonhole, _suffix_products
 from growthlab.recipes import generate_example
 
 H3 = heisenberg(3)
@@ -169,3 +182,114 @@ def test_decompose_respects_config_budget():
 
     with pytest.raises(BudgetExceeded):
         decompose(cert, PipelineConfig(budget=200))
+
+
+# --------------------------------------------------------------------------
+# Shared values against the plain versions
+
+
+_SLICE_RECIPES = (
+    "ball ut:3:3 radius=1",
+    "ball ut:3:5 radius=1",
+    "random-symmetric ut:3:7 size=5 seed=1",  # two cyclic fibres
+    "random-symmetric ut:3:7 size=9 seed=3",  # one
+    "random-symmetric ut:3:11 size=7 seed=0",  # one
+    "ball ut:4:2 radius=1",
+)
+
+
+@pytest.mark.parametrize("recipe", _SLICE_RECIPES)
+def test_slices_with_shared_powers_match_predicate_slices(recipe):
+    cert = greedy_cover_certificate(generate_example(recipe))
+    fac, chain, fibres = _factorize(cert, 2, 10**6, True, None)
+    proj, best = fac.projection, fac.oracle.best
+    H = best.H.elements.members
+    # The predicates as they were: project each element when asked.
+    plain = [lambda c: proj.apply(c) in H] + [
+        lambda c, x=x: in_cyclic(proj.codomain, x.coords, proj.apply(c))
+        for x in best.generators
+    ]
+    assert fac.H_part == power(cert.aset, 18).filter(plain[0])
+    assert list(fac.cyclic_parts) == [power(cert.aset, 24).filter(p) for p in plain[1:]]
+    X3 = power(cert.witness, 3)
+    for fibre, member in zip(fibres, plain):
+        shared = _slice_certificate(cert, fibre, chain[1], chain[3], X3, 10**6)
+        alone = predicate_slice_certificate(cert, member)
+        assert shared == alone
+    if not recipe.startswith("ball ut:4"):
+        red = step_reduction(cert, cert, 1, 2)
+        assert list(red.factors) == [predicate_slice_certificate(cert, p) for p in plain]
+
+
+def test_slice_recipes_cover_cyclic_fibres():
+    # The list above must exercise cyclic fibres, not only the subgroup one.
+    rs = []
+    for recipe in _SLICE_RECIPES[2:5]:
+        cert = greedy_cover_certificate(generate_example(recipe))
+        rs.append(abelian_factorization(cert, 2).r)
+    assert rs == [2, 1, 1]
+
+
+def ref_pigeonhole(H_set, pieces):
+    """The chosen u per sparse piece, each candidate scored by the chained
+    product left·u·X_{i+1}···X_n (None at progression pieces)."""
+    base = H_set.parent
+    left, chosen = H_set, []
+    for i, piece in enumerate(pieces):
+        if piece.kind == "progression":
+            chosen.append(None)
+            left = product(left, piece.members)
+            continue
+        best, best_score = None, -1
+        for u in piece.members.sorted_members():
+            cur = product(left, GSet(base, [u], _reduced=True))
+            for p in pieces[i + 1:]:
+                cur = product(cur, p.members)
+            if len(cur) > best_score:
+                best, best_score = u, len(cur)
+        chosen.append(best)
+        left = product(left, GSet(base, [best], _reduced=True))
+    return chosen
+
+
+def _box_pool(G, r=2):
+    if G.is_finite():
+        return sorted(G.iter_coords())
+    out = [()]
+    for _ in range(G.arity):
+        out = [c + (v,) for c in out for v in range(-r, r + 1)]
+    return out
+
+
+# Non-abelian groups: in an abelian one every candidate scores the same.
+_PIGEON_GROUPS = (Unitriangular(3, 2), Unitriangular(3, 3), Unitriangular(3, 5), HZ)
+_PIGEON_POOLS = {G: _box_pool(G) for G in _PIGEON_GROUPS}
+
+
+@st.composite
+def _pigeonhole_case(draw):
+    G = draw(st.sampled_from(_PIGEON_GROUPS))
+    pool = _PIGEON_POOLS[G]
+    if G.is_finite():  # a cyclic, often non-normal H separates the scores most
+        H = span([Element(G, draw(st.sampled_from(pool)))]).elements
+    else:
+        H = GSet.identity_set(G)
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("sparse", "sparse", "progression")))
+        members = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        pieces.append(Piece(kind, GSet(G, members, _reduced=True)))
+    return H, pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pigeonhole_case())
+def test_pigeonhole_suffix_table_matches_chained_products(case):
+    H, pieces = case
+    suffix = _suffix_products([p.members for p in pieces], 10**6)
+    chained = H
+    for p in pieces:
+        chained = product(chained, p.members)
+    assert product(H, suffix[0]) == chained  # the containment check's set
+    got = _pigeonhole(H, pieces, suffix, 10**6)
+    assert [p.chosen.coords if p.kind == "sparse" else None for p in got] == ref_pigeonhole(H, pieces)

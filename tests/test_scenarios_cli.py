@@ -1,12 +1,15 @@
 """Scenario runner, suite determinism, and the command-line surface."""
 import json
 import pathlib
+import pickle
 
 import pytest
 
+import growthlab.scenarios as scenarios
 from growthlab import BudgetExceeded, FormatError, Report, Scenario, run_scenario, run_suite
 from growthlab.cli import main
 from growthlab.scenarios import worker_count
+from growthlab.textio import dumps_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -46,6 +49,39 @@ def test_budget_aborts_scenario():
             Scenario("x", "random-symmetric ab:101 size=21 seed=7", ({"op": "certify"},)),
             budget=100,
         )
+
+
+def test_budget_abort_names_scenario_and_op():
+    s = Scenario("x", "random-symmetric ab:101 size=21 seed=7", ({"op": "stats", "n": 1}, {"op": "certify"}))
+    with pytest.raises(BudgetExceeded) as info:
+        run_scenario(s, budget=100)
+    assert (info.value.scenario, info.value.scenario_op) == ("x", "certify")
+    assert info.value.op == "product"  # the library's own field is kept
+    with pytest.raises(BudgetExceeded) as info:
+        run_scenario(Scenario("y", "interval ab:0 L=100", ()), budget=100)
+    assert (info.value.scenario, info.value.scenario_op) == ("y", "recipe")
+
+
+def test_failed_decompose_runs_once_per_scenario(monkeypatch):
+    # ball ut:4:2 radius=1 is a known decompose failure.  Each corollary
+    # after it re-raises the stored error; the records must be those of a
+    # corollary that runs decompose afresh.
+    recipe = "ball ut:4:2 radius=1"
+    ops = (
+        {"op": "certify"},
+        {"op": "decompose"},
+        {"op": "corollary", "which": "ruzsa"},
+        {"op": "corollary", "which": "chang"},
+    )
+    fresh = [run_scenario(Scenario("ut42", recipe, (ops[0], op))).records[1] for op in ops[2:]]
+    calls = []
+    real = scenarios.decompose
+    monkeypatch.setattr(scenarios, "decompose", lambda *a: calls.append(a) or real(*a))
+    rep = run_scenario(Scenario("ut42", recipe, ops))
+    assert len(calls) == 1
+    assert rep.records[1]["passed"] is False and "error" in rep.records[1]
+    assert [dumps_json(r) for r in rep.records[2:]] == [dumps_json(r) for r in fresh]
+    assert fresh[0]["error"] == rep.records[1]["error"]
 
 
 def test_scenario_obj_round_trip():
@@ -136,6 +172,25 @@ def test_cli_env_budget(monkeypatch, capsys):
     assert "BudgetExceeded" in capsys.readouterr().err
 
 
+def test_cli_budget_abort_names_scenario(monkeypatch, capsys):
+    monkeypatch.setenv("GROWTHLAB_BUDGET", "3000")
+    assert main(["suite", "chain"]) == 2
+    err = capsys.readouterr().err
+    assert "BudgetExceeded" in err
+    assert "scenario 'chain-L22', op 'chain'" in err
+
+
+def test_budget_abort_crosses_a_process_pool(monkeypatch, capsys):
+    e = BudgetExceeded("product", 8550, 3000)
+    e.scenario, e.scenario_op = "chain-L22", "chain"
+    back = pickle.loads(pickle.dumps(e))
+    assert (str(back), back.op, back.needed, back.budget) == (str(e), "product", 8550, 3000)
+    assert (back.scenario, back.scenario_op) == ("chain-L22", "chain")
+    monkeypatch.setenv("GROWTHLAB_BUDGET", "3000")
+    assert main(["suite", "chain", "--jobs", "2"]) == 2
+    assert "scenario 'chain-L22', op 'chain'" in capsys.readouterr().err
+
+
 def test_cli_gen_formats(tmp_path, capsys):
     rc = main(["gen", "ball", "ab:7", "radius=2", "--format", "csv"])
     assert rc == 0
@@ -182,9 +237,32 @@ def test_cli_missing_op_parameter_exit_two(tmp_path, capsys):
 
 
 def test_cli_non_integer_op_parameter_exit_two(tmp_path, capsys):
-    assert main(["suite", _scenario_file(tmp_path, [{"op": "stats", "n": "x"}])]) == 2
-    err = capsys.readouterr().err
-    assert "FormatError" in err and "'n'" in err
+    # Out-of-range integers are refused with the malformed ones, before the
+    # library sees them.
+    for op, key in (
+        ({"op": "stats", "n": "x"}, "'n'"),
+        ({"op": "stats", "n": 0}, "'n'"),
+        ({"op": "chang", "b_size": 0}, "'b_size'"),
+        ({"op": "chang", "m": -1}, "'m'"),
+        ({"op": "slice", "b": "interval ab:7 L=1", "m": 0, "n": 2}, "'m'"),
+        ({"op": "chain", "gens": "1", "bounds": "1", "step": 0}, "'step'"),
+        ({"op": "hom", "kind": "embed", "second": -1}, "'second'"),
+        ({"op": "pullback", "m": -1}, "'m'"),
+    ):
+        assert main(["suite", _scenario_file(tmp_path, [op])]) == 2
+        err = capsys.readouterr().err
+        assert "FormatError" in err and key in err
+
+
+def test_chain_op_and_prog_refuse_mismatched_generators(capsys):
+    # Wrong arity or one bound too few: a typed error, not a ValueError.
+    for gens, bounds in (("1,0", "1"), ("1|2", "1"), ("1", "-1")):
+        rec = run_scenario(
+            Scenario("s", "interval ab:7 L=1", ({"op": "chain", "gens": gens, "bounds": bounds},))
+        ).records[0]
+        assert rec["passed"] is False and rec["error"].startswith("FormatError")
+        assert main(["prog", "build", "ab:7", "--gens", gens, "--bounds", bounds]) == 2
+        assert "FormatError" in capsys.readouterr().err
 
 
 def test_cli_malformed_env_budget_exit_two(monkeypatch, capsys):
