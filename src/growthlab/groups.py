@@ -319,22 +319,14 @@ class DirectProduct(GroupDescriptor):
     # Factor kernels are looked up per call, so wrapping a factor class's
     # `mul`/`inv` still sees the calls a product makes.
     def mul(self, a, b):
-        parts = self._slices
-        if len(parts) == 2:
-            (f, s), (g, t) = parts
-            return f.mul(a[s], b[s]) + g.mul(a[t], b[t])
         out: tuple[int, ...] = ()
-        for f, s in parts:
+        for f, s in self._slices:
             out += f.mul(a[s], b[s])
         return out
 
     def inv(self, a):
-        parts = self._slices
-        if len(parts) == 2:
-            (f, s), (g, t) = parts
-            return f.inv(a[s]) + g.inv(a[t])
         out: tuple[int, ...] = ()
-        for f, s in parts:
+        for f, s in self._slices:
             out += f.inv(a[s])
         return out
 

@@ -10,7 +10,6 @@ assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -220,39 +219,14 @@ def _free_ratio_test(moduli, x):
 def in_cyclic(parent, x_coords, w_coords) -> bool:
     """Decide w ∈ ⟨x⟩ in an abelian parent (plain or quotient-presented).
 
-    Other parents raise NotAbelian: a power walk there need not end.
+    Other parents raise NotAbelian: a power walk there need not end.  A
+    finite ⟨x⟩ larger than the budget raises BudgetExceeded.
     """
-    x = parent.reduce(tuple(x_coords))
-    w = parent.reduce(tuple(w_coords))
-    identity = parent.identity_coords()
-    if w == identity:
-        return True
-    if x == identity:
-        return False
-    if isinstance(parent, QuotientView):
-        base = parent.base
-        return any(
-            in_cyclic(base, x, base.mul(w, k))
-            for k in parent.kernel.elements.members
-        )
-    if isinstance(parent, FiniteAbelian):
-        moduli = parent.moduli
-        test = _free_ratio_test(moduli, x)
-        if test is not None:
-            return test(w)
-        if any(m == 0 and w[j] != 0 for j, m in enumerate(moduli)):
-            return False
-        n = 1
-        for j, m in enumerate(moduli):
-            if m:
-                n = math.lcm(n, m // math.gcd(x[j] % m, m))
-        cur = x
-        for _ in range(n):
-            if cur == w:
-                return True
-            cur = parent.mul(cur, x)
-        return False
-    raise NotAbelian(f"in_cyclic needs an ab: parent or a quotient of one, not {parent!r}")
+    base = parent.base if isinstance(parent, QuotientView) else parent
+    if not isinstance(base, FiniteAbelian):
+        raise NotAbelian(f"in_cyclic needs an ab: parent or a quotient of one, not {parent!r}")
+    test = _cyclic_membership(parent, x_coords, resolve_budget(None))
+    return test(parent.reduce(tuple(w_coords)))
 
 
 def _cyclic_membership(parent, x_coords, budget: int):
@@ -260,8 +234,9 @@ def _cyclic_membership(parent, x_coords, budget: int):
 
     In an `ab:` parent where a free coordinate of x is nonzero, each query
     is one ratio check.  Otherwise, if ⟨x⟩ is finite it is enumerated once
-    (ord(x) products, under the budget), so each query is one set lookup;
-    an infinite quotient-presented parent asks `in_cyclic`.
+    (ord(x) products, under the budget), so each query is one set lookup.
+    An infinite quotient-presented parent builds one test in its base and
+    asks it for w·k, k over the (finite) kernel.
     """
     x = parent.reduce(tuple(x_coords))
     if isinstance(parent, FiniteAbelian):
@@ -269,7 +244,10 @@ def _cyclic_membership(parent, x_coords, budget: int):
         if test is not None:
             return test
     elif not parent.is_finite():
-        return lambda w: in_cyclic(parent, x, w)
+        base = parent.base
+        in_base = _cyclic_membership(base, x, budget)
+        kernel = parent.kernel.elements.members
+        return lambda w: any(in_base(base.mul(w, k)) for k in kernel)
     identity = parent.identity_coords()
     members = {identity}
     cur = x
@@ -406,13 +384,14 @@ def abelian_factorization(
     product blows the pair budget while the fibres themselves stay finite).
     """
     budget = resolve_budget(budget)
-    return _factorize(cert, rank_max, budget, with_product, None)[0]
+    step = step_of_generated(list(cert.aset.elements()), budget)
+    return _factorize(cert, rank_max, budget, with_product, step)[0]
 
 
 def _factorize(
-    cert: ApproxCertificate, rank_max: int, budget: int, with_product: bool, step: int | None
+    cert: ApproxCertificate, rank_max: int, budget: int, with_product: bool, step: int
 ):
-    """abelian_factorization of a set whose step is known (None: compute it).
+    """abelian_factorization of a set whose step is known.
 
     Also returns the power chain [A, ..., A²⁴] and one fibre predicate per
     factor (π⁻¹(H) first, then π⁻¹(⟨x_i⟩)).  The predicates look π(c) up in
@@ -420,8 +399,6 @@ def _factorize(
     because 1 ∈ A.
     """
     A = cert.aset
-    if step is None:
-        step = step_of_generated(list(A.elements()), budget)
     if step < 2:
         raise StepTooLow(f"factorization needs step >= 2, got {step}")
     proj = abelianization(A.parent)
@@ -588,18 +565,38 @@ def step_reduction(
     step.  Abelian input degenerates to a single factor Ã with N trivial.
     """
     budget = resolve_budget(budget)
-    return _reduce_step(cert, ambient, m, rank_max, budget, None)[0]
+    _check_inside_power(cert, ambient, m, budget)
+    step = step_of_generated(list(cert.aset.elements()), budget)
+    return _reduce_step(cert, ambient, rank_max, budget, step)[0]
+
+
+def _check_inside_power(
+    cert: ApproxCertificate, ambient: ApproxCertificate, m: int, budget: int
+) -> None:
+    """Refuse Ã unless it lies in A^m (or in its image, for a quotient view)."""
+    parent = cert.aset.parent
+    amb_parent = ambient.aset.parent
+    if isinstance(parent, QuotientView):
+        if parent.base != amb_parent:
+            raise ParentMismatch("quotient does not sit over the ambient group")
+        shadow = quotient_project(parent, power(ambient.aset, m, budget))
+    elif parent == amb_parent:
+        shadow = power(ambient.aset, m, budget)
+    else:
+        raise ParentMismatch("certificate lives outside the ambient group")
+    if not cert.aset.members <= shadow.members:
+        raise ContainmentError("the set is not inside the declared power of A")
 
 
 def _reduce_step(
     cert: ApproxCertificate,
     ambient: ApproxCertificate,
-    m: int,
     rank_max: int,
     budget: int,
-    step: int | None,
+    step: int,
 ):
-    """step_reduction of a set whose step is known (None: compute it).
+    """step_reduction of a set whose step is known and which the caller
+    has checked to lie inside A^m (`_check_inside_power`).
 
     Also returns what the step-drop check and the factor product already
     built: each factor's set in the reduced parent, the step of each, and
@@ -610,19 +607,6 @@ def _reduce_step(
     parent = A_t.parent
     amb_parent = ambient.aset.parent
     is_view = isinstance(parent, QuotientView)
-    if is_view:
-        if parent.base != amb_parent:
-            raise ParentMismatch("quotient does not sit over the ambient group")
-        shadow = quotient_project(parent, power(ambient.aset, m, budget))
-    elif parent == amb_parent:
-        shadow = power(ambient.aset, m, budget)
-    else:
-        raise ParentMismatch("certificate lives outside the ambient group")
-    if not A_t.members <= shadow.members:
-        raise ContainmentError("the set is not inside the declared power of A")
-
-    if step is None:
-        step = step_of_generated(list(A_t.elements()), budget)
     trivial_N = SubgroupHandle(
         parent, GSet.identity_set(parent), (), True, frozenset()
     )
@@ -787,8 +771,9 @@ def _expand(
             )
         return normals, pieces
 
+    _check_inside_power(cert, ambient, m, budget)
     red, reduced_sets, steps, B = _reduce_step(
-        cert, ambient, m, config.rank_max, budget, step
+        cert, ambient, config.rank_max, budget, step
     )
     rc = ruzsa_cover(cert.aset, B, budget)
     logs.append(

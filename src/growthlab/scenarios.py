@@ -512,8 +512,9 @@ def _op_decompose(state, params, budget):
         raise
     except GrowthLabError as e:
         # decompose is deterministic in (cert, budget): a later corollary
-        # re-raises this error instead of running it again.
-        state["dec"] = e
+        # raises a copy of this error instead of running it again.  The
+        # copy holds no traceback, so the failed run's frames are freed.
+        state["dec"] = type(e)(*e.args)
         raise
     state["dec"] = dec
     rec = dec.to_report()
@@ -526,7 +527,7 @@ def _op_corollary(state, params, budget):
         _op_decompose(state, _op_params({"op": "decompose"}), budget)
     dec = state["dec"]
     if isinstance(dec, GrowthLabError):
-        raise dec
+        raise type(dec)(*dec.args)
     which = params["which"]
     rep = corollary_covers(dec, state["cert"], which, budget)
     if which == "ruzsa":

@@ -5,8 +5,8 @@ generators it adjoined, the step reduction enumerates each cyclic subgroup
 once per generator (or, where a free coordinate pins the exponent, tests a
 ratio), and `powers` multiplies only the newest layer of a power chain.  The
 functions under "Reference loops" are the plain versions they replaced (for
-cyclic membership the references are `in_cyclic` itself and a search over
-every exponent that can work); hypothesis pins each fast path to them.
+cyclic membership also a search over every exponent that can work);
+hypothesis pins each fast path to them.
 """
 import math
 
@@ -73,6 +73,36 @@ def _normal_closure_loop(parent, gens, conj, budget):
         N = _span_bfs(parent, list(N) + fresh, budget)
 
 
+def _in_cyclic_walk(parent, x, w):
+    """w ∈ ⟨x⟩ by walking the powers of x, through each kernel coset of a view."""
+    x, w = parent.reduce(tuple(x)), parent.reduce(tuple(w))
+    identity = parent.identity_coords()
+    if w == identity:
+        return True
+    if x == identity:
+        return False
+    if isinstance(parent, QuotientView):
+        base = parent.base
+        return any(_in_cyclic_walk(base, x, base.mul(w, k)) for k in parent.kernel.elements.members)
+    pins = [j for j, m in enumerate(parent.moduli) if m == 0 and x[j] != 0]
+    if pins:
+        j = pins[0]
+        k = w[j] // x[j]
+        return parent.reduce(tuple(k * c for c in x)) == w
+    if any(m == 0 and w[j] != 0 for j, m in enumerate(parent.moduli)):
+        return False
+    n = 1
+    for j, m in enumerate(parent.moduli):
+        if m:
+            n = math.lcm(n, m // math.gcd(x[j] % m, m))
+    cur = x
+    for _ in range(n):
+        if cur == w:
+            return True
+        cur = parent.mul(cur, x)
+    return False
+
+
 def _power_chain_plain(A, n):
     """[A^1, ..., A^n] by whole products, stopping once A^{k+1} = A^k."""
     chain = [A.members]
@@ -97,6 +127,8 @@ def _pool(G):
     """Every element of a finite group; a small box where a coordinate is free."""
     if G.is_finite():
         return sorted(G.iter_coords())
+    if isinstance(G, QuotientView):
+        return sorted({G.reduce(c) for c in _pool(G.base)})
     rows = [range(m) if m else range(-2, 3) for m in G.moduli]
     out = [()]
     for row in rows:
@@ -220,6 +252,8 @@ _CYCLIC_CODOMAINS = [
     QuotientView(_AB66, span([Element(_AB66, (2, 0))])),
     QuotientView(_AB46, span([Element(_AB46, (2, 3))])),
     QuotientView(FiniteAbelian((3, 3, 3)), span([Element(FiniteAbelian((3, 3, 3)), (1, 1, 0))])),
+    QuotientView(FiniteAbelian((0, 4)), span([Element(FiniteAbelian((0, 4)), (0, 2))])),
+    QuotientView(FiniteAbelian((3, 0, 6)), span([Element(FiniteAbelian((3, 0, 6)), (1, 0, 3))])),
 ]
 
 
@@ -230,7 +264,9 @@ def test_cyclic_membership_matches_in_cyclic(G, data):
     x = data.draw(st.sampled_from(pool))
     in_x = _cyclic_membership(G, x, 10_000)
     for w in pool:
-        assert in_x(w) == in_cyclic(G, x, w)
+        expected = _in_cyclic_walk(G, x, w)
+        assert in_x(w) == expected
+        assert in_cyclic(G, x, w) == expected
 
 
 def _in_cyclic_search(G, x, w):
@@ -272,6 +308,7 @@ def test_free_codomain_cyclic_test_matches_exponent_search(G, data):
         expected = _in_cyclic_search(G, x, w)
         assert in_x(w) == expected
         assert in_cyclic(G, x, w) == expected
+        assert _in_cyclic_walk(G, x, w) == expected
 
 
 # --------------------------------------------------------------------------

@@ -13,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import (
+    BudgetExceeded,
     CertificateError,
     ContainmentError,
     Element,
     FiniteAbelian,
     GSet,
     NotAbelian,
+    ParentMismatch,
     PipelineConfig,
     ProgressionSpec,
     QuotientView,
@@ -40,6 +42,7 @@ from growthlab import (
     pullback_check,
     quotient_project,
     span,
+    step_of_generated,
     step_reduction,
     word_radius_bound,
 )
@@ -135,6 +138,12 @@ def test_step_reduction_mod3():
     assert red.N.order() == 3
     assert [len(f.aset) for f in red.factors] == [13]
     assert red.product_size == 13
+    # Ã must lie in A^m, checked before any step is computed.
+    wide = greedy_cover_certificate(generate_example("ball ut:3:3 radius=2"))
+    with pytest.raises(ContainmentError):
+        step_reduction(wide, cert, 1, 2)
+    with pytest.raises(ParentMismatch):
+        step_reduction(cert, greedy_cover_certificate(_ball("ut:3:5")), 1, 2)
 
 
 def test_containment_radius_and_word_bound():
@@ -201,7 +210,8 @@ _SLICE_RECIPES = (
 @pytest.mark.parametrize("recipe", _SLICE_RECIPES)
 def test_slices_with_shared_powers_match_predicate_slices(recipe):
     cert = greedy_cover_certificate(generate_example(recipe))
-    fac, chain, fibres = _factorize(cert, 2, 10**6, True, None)
+    step = step_of_generated(list(cert.aset.elements()))
+    fac, chain, fibres = _factorize(cert, 2, 10**6, True, step)
     proj, best = fac.projection, fac.oracle.best
     H = best.H.elements.members
     # The predicates as they were: project each element when asked.
@@ -293,3 +303,28 @@ def test_pigeonhole_suffix_table_matches_chained_products(case):
     assert product(H, suffix[0]) == chained  # the containment check's set
     got = _pigeonhole(H, pieces, suffix, 10**6)
     assert [p.chosen.coords if p.kind == "sparse" else None for p in got] == ref_pigeonhole(H, pieces)
+
+
+# The least budget at which `decompose` ran without BudgetExceeded while
+# the pigeonhole still chained H·X_0·X_1⋯ per candidate (found by bisection
+# on that code).  The suffix table asks the budget for other pair counts
+# (|H|·|S_0|, |left·u|·|S_{i+1}|), which in general bound neither way; on
+# these sets, several with H the whole group, the outcome is unchanged.
+_CHAINED_THRESHOLDS = (
+    ("random-symmetric ut:3:3 size=5 seed=0", 169),  # |H| = 27
+    ("random-symmetric ut:3:3 size=7 seed=1", 529),  # |H| = 27
+    ("random-symmetric ut:3:5 size=5 seed=0", 663),  # |H| = 125
+    ("random-symmetric ut:3:5 size=7 seed=0", 1702),  # |H| = 125
+    ("random-symmetric ut:4:2 size=5 seed=0", 121),  # |H| = 16
+    ("random-symmetric ut:4:2 size=5 seed=1", 144),  # |H| = 16
+    ("ball ut:3:5 radius=2", 12321),
+)
+
+
+@pytest.mark.parametrize("recipe,threshold", _CHAINED_THRESHOLDS)
+def test_decompose_budget_outcome_matches_chained_pigeonhole(recipe, threshold):
+    cert = greedy_cover_certificate(generate_example(recipe))
+    with pytest.raises(BudgetExceeded):
+        decompose(cert, PipelineConfig(budget=threshold - 1))
+    got = decompose(cert, PipelineConfig(budget=threshold))
+    assert got.to_report() == decompose(cert).to_report()

@@ -6,7 +6,16 @@ import pickle
 import pytest
 
 import growthlab.scenarios as scenarios
-from growthlab import BudgetExceeded, FormatError, Report, Scenario, run_scenario, run_suite
+from growthlab import (
+    BudgetExceeded,
+    FormatError,
+    GrowthLabError,
+    Report,
+    Scenario,
+    generate_example,
+    run_scenario,
+    run_suite,
+)
 from growthlab.cli import main
 from growthlab.scenarios import worker_count
 from growthlab.textio import dumps_json
@@ -82,6 +91,12 @@ def test_failed_decompose_runs_once_per_scenario(monkeypatch):
     assert rep.records[1]["passed"] is False and "error" in rep.records[1]
     assert [dumps_json(r) for r in rep.records[2:]] == [dumps_json(r) for r in fresh]
     assert fresh[0]["error"] == rep.records[1]["error"]
+    # What the state keeps is a copy without a traceback, so the failed
+    # run's frames (its power chain and slices) are not kept alive.
+    state = {"set": generate_example(recipe)}
+    with pytest.raises(GrowthLabError):
+        scenarios._op_decompose(state, {}, 5_000_000)
+    assert state["dec"].__traceback__ is None
 
 
 def test_scenario_obj_round_trip():
