@@ -76,9 +76,10 @@ def greedy_cover_certificate(A: GSet, budget: int | None = None) -> ApproxCertif
     square = power(A, 2, budget)
     if len(square) * len(A) > budget:
         raise BudgetExceeded("greedy_cover_certificate", len(square) * len(A), budget)
+    left_row = A.parent.left_row
     masks = {}
     for x in square.sorted_members():
-        masks[x] = frozenset(A.parent.mul(x, a) for a in A.members) & square.members
+        masks[x] = square.members.intersection(left_row(x, A.members))
     uncovered = set(square.members)
     chosen = []
     while uncovered:
@@ -163,18 +164,18 @@ def slicing_cover(
     bound = certA.K_upper ** (m - 1) * certB.K_upper ** (n - 1)
     witnesses = []
     remaining = set(target.members)
-    mul, inv = A.parent.mul, A.parent.inv
+    mul, inv, left_row = A.parent.mul, A.parent.inv, A.parent.left_row
     for u in XA.sorted_members():
         if not remaining:
             break
-        uA = frozenset(mul(u, a) for a in A.members)
+        uA = frozenset(left_row(u, A.members))
         for v in XB.sorted_members():
             if not remaining:
                 break
             slice_members = remaining & uA
             if not slice_members:
                 continue
-            vB = frozenset(mul(v, b) for b in B.members)
+            vB = frozenset(left_row(v, B.members))
             slice_members = slice_members & vB
             if not slice_members:
                 continue
@@ -223,13 +224,13 @@ def _slice_certificate(
     A = cert.aset
     slice_set = A2.filter(member)
     T = A4.filter(member)
-    mul = A.parent.mul
+    mul, left_row = A.parent.mul, A.parent.left_row
     witnesses = []
     remaining = set(T.members)
     for u in X3.sorted_members():
         if not remaining:
             break
-        uA = frozenset(mul(u, a) for a in A.members)
+        uA = frozenset(left_row(u, A.members))
         hit = remaining & uA
         if not hit:
             continue
@@ -275,10 +276,13 @@ def fibre_cover(A: GSet, H: SubgroupHandle, max_cosets: int, budget: int | None 
     budget = resolve_budget(budget)
     if H.parent != A.parent:
         raise ParentMismatch("subgroup lives elsewhere")
-    mul, inv = A.parent.mul, A.parent.inv
+    pairs = len(A) * len(H.elements)
+    if pairs > budget:
+        raise BudgetExceeded("fibre_cover", pairs, budget)
+    left_row = A.parent.left_row
     buckets: dict[tuple, list] = {}
     for a in A.sorted_members():
-        key = min(mul(a, h) for h in H.elements.members)
+        key = min(left_row(a, H.elements.members))
         buckets.setdefault(key, []).append(a)
     if len(buckets) > max_cosets:
         raise CosetCountExceeded(f"{len(buckets)} cosets met, allowed {max_cosets}")

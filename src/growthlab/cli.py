@@ -100,8 +100,9 @@ def _prog_spec(args) -> ProgressionSpec:
 
 
 def _cmd_prog(args) -> int:
+    spec = _prog_spec(args)  # bad generators or bounds exit 2 before any scenario runs
     if args.action == "build":
-        P = ordered_progression(_prog_spec(args), resolve_budget(args.budget))
+        P = ordered_progression(spec, resolve_budget(args.budget))
         return _emit_set(P, args)
     ops = (
         {

@@ -80,11 +80,11 @@ def verify_translate_cover(A: GSet, X: GSet, B: GSet, budget: int, op: str) -> N
 
 def _disjoint_translates(A: GSet, B: GSet, keep_at_most: int | None = None) -> list[tuple]:
     """Greedy maximal subset of A whose left-translates of B are pairwise disjoint."""
-    mul = A.parent.mul
+    left_row = A.parent.left_row
     kept = []
     occupied: set = set()
     for a in A.sorted_members():
-        aB = [mul(a, b) for b in B.members]
+        aB = left_row(a, B.members)
         if any(w in occupied for w in aB):
             continue
         kept.append(a)

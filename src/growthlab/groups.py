@@ -30,6 +30,19 @@ class GroupDescriptor:
     def inv(self, a):
         raise NotImplementedError
 
+    # Row kernels: one fixed element times a whole set, in order.  Set-level
+    # loops go through these, so a backend may override them with
+    # straight-line code that skips a `mul` call per pair.
+    def left_row(self, a, bs) -> list:
+        """[a·b for b in bs]."""
+        mul = self.mul
+        return [mul(a, b) for b in bs]
+
+    def right_row(self, as_, b) -> list:
+        """[a·b for a in as_]."""
+        mul = self.mul
+        return [mul(a, b) for a in as_]
+
     def identity_coords(self) -> tuple[int, ...]:
         raise NotImplementedError
 
@@ -216,6 +229,24 @@ class Unitriangular(GroupDescriptor):
                 v += a[s] * b[t]
             out[k] = v % m if m else v
         return tuple(out)
+
+    def left_row(self, a, bs):
+        if self.n != 3:
+            return super().left_row(a, bs)
+        m = self.modulus
+        a0, a1, a2 = a
+        if m:
+            return [((a0 + b0) % m, (a1 + b1 + a0 * b2) % m, (a2 + b2) % m) for b0, b1, b2 in bs]
+        return [(a0 + b0, a1 + b1 + a0 * b2, a2 + b2) for b0, b1, b2 in bs]
+
+    def right_row(self, as_, b):
+        if self.n != 3:
+            return super().right_row(as_, b)
+        m = self.modulus
+        b0, b1, b2 = b
+        if m:
+            return [((a0 + b0) % m, (a1 + b1 + a0 * b2) % m, (a2 + b2) % m) for a0, a1, a2 in as_]
+        return [(a0 + b0, a1 + b1 + a0 * b2, a2 + b2) for a0, a1, a2 in as_]
 
     def inv(self, a):
         m = self.modulus

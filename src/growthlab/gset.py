@@ -125,14 +125,15 @@ def product(A: GSet, B: GSet, budget: int | None = None) -> GSet:
     pairs = len(A) * len(B)
     if pairs > budget:
         raise BudgetExceeded("product", pairs, budget)
-    mul = A.parent.mul
     out = set()
     if small is A:
+        left_row, bs = A.parent.left_row, B.members
         for a in A.members:
-            out.update(mul(a, b) for b in B.members)
+            out.update(left_row(a, bs))
     else:
+        right_row, as_ = A.parent.right_row, A.members
         for b in B.members:
-            out.update(mul(a, b) for a in A.members)
+            out.update(right_row(as_, b))
     if len(out) > budget:
         raise BudgetExceeded("product", len(out), budget)
     return GSet(A.parent, out, _reduced=True)
@@ -156,9 +157,7 @@ def translate(g: Element, A: GSet) -> GSet:
     """Left translate g·A."""
     if g.parent != A.parent:
         raise ParentMismatch("translate: mixed parents")
-    mul = A.parent.mul
-    gc = g.coords
-    return GSet(A.parent, (mul(gc, c) for c in A.members), _reduced=True)
+    return GSet(A.parent, A.parent.left_row(g.coords, A.members), _reduced=True)
 
 
 def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
@@ -176,7 +175,7 @@ def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
         while True:
             cur = product(cur, A, budget)
             yield cur
-    mul = A.parent.mul
+    left_row = A.parent.left_row
     prev = frozenset((A.parent.identity_coords(),))
     while True:
         fresh = cur.members - prev
@@ -185,7 +184,7 @@ def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
             raise BudgetExceeded("product", pairs, budget)
         out = set(cur.members)
         for f in fresh:
-            out.update([mul(f, a) for a in A.members])
+            out.update(left_row(f, A.members))
         if len(out) > budget:
             raise BudgetExceeded("product", len(out), budget)
         prev = cur.members

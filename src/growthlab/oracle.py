@@ -61,7 +61,7 @@ def subgroups_within(D: GSet, budget: int | None = None) -> list[SubgroupHandle]
     ident = parent.identity_coords()
     if ident not in D.members:
         return []
-    mul = parent.mul
+    mul, left_row = parent.mul, parent.left_row
     found: set[frozenset] = {frozenset((ident,))}
     for d in D.sorted_members():
         if d == ident:
@@ -87,7 +87,9 @@ def subgroups_within(D: GSet, budget: int | None = None) -> list[SubgroupHandle]
             # larger than D is known without multiplying it out.
             if len(H1) * len(H2) > len(D) * len(H1 & H2):
                 continue
-            join = {mul(a, b) for a in H1 for b in H2}
+            join = set()
+            for a in H1:
+                join.update(left_row(a, H2))
             if not join <= D.members:
                 continue
             fs = frozenset(join)
@@ -156,7 +158,7 @@ def _grow_slot(
     adds nothing, that is R_0·x = R_0.
     """
     parent = D.parent
-    mul = parent.mul
+    right_row = parent.right_row
     steps = (x_coords, parent.inv(x_coords))
     inside = D.members
     cur = frontier = realized
@@ -164,8 +166,7 @@ def _grow_slot(
     while True:
         new = set()
         for s in steps:
-            for w in frontier:
-                y = mul(w, s)
+            for y in right_row(frontier, s):
                 if y not in cur:
                     if y not in inside:
                         return cur, L, False
@@ -177,7 +178,7 @@ def _grow_slot(
         L += 1
 
 
-def _join_cyclic(S: frozenset, x_coords: tuple, mul) -> frozenset:
+def _join_cyclic(S: frozenset, x_coords: tuple, right_row) -> frozenset:
     """S·⟨x⟩ for a subgroup S and an x of finite order, all commuting.
 
     Walks the cosets S·x, S·x², ... multiplying only the newest one, until
@@ -186,10 +187,10 @@ def _join_cyclic(S: frozenset, x_coords: tuple, mul) -> frozenset:
     out = set(S)
     coset = S
     while True:
-        coset = {mul(s, x_coords) for s in coset}
-        if next(iter(coset)) in S:
+        coset = right_row(coset, x_coords)
+        if coset[0] in S:
             return frozenset(out)
-        out |= coset
+        out.update(coset)
 
 
 def _popular_differences(A: GSet, D: GSet) -> list[tuple]:
@@ -200,12 +201,11 @@ def _popular_differences(A: GSet, D: GSet) -> list[tuple]:
     D = A·A·A⁻¹·A⁻¹; a d of D that no pair hits scores 0.
     """
     parent = A.parent
-    mul, inv = parent.mul, parent.inv
+    left_row, inv = parent.left_row, parent.inv
     popularity = dict.fromkeys(D.members, 0)
     for a in A.members:
-        ai = inv(a)
-        for b in A.members:
-            popularity[mul(ai, b)] += 1
+        for d in left_row(inv(a), A.members):
+            popularity[d] += 1
     del popularity[parent.identity_coords()]
     return sorted(popularity, key=lambda d: (-popularity[d], d))
 
@@ -238,7 +238,6 @@ def find_coset_progression(
     parent = A.parent
     D = difference_body(A, budget)
     subs = subgroups_within(D, budget)
-    mul = parent.mul
     candidates = _popular_differences(A, D)
     examined = 0
     best = None
@@ -259,7 +258,7 @@ def find_coset_progression(
                 gens.append(Element(parent, x))
                 bounds.append(L)
             elif fixed:
-                stab = _join_cyclic(stab, x, mul)
+                stab = _join_cyclic(stab, x, parent.right_row)
         cp = CosetProgression(
             H, tuple(gens), tuple(bounds), GSet(parent, realized, _reduced=True), budget
         )

@@ -32,6 +32,7 @@ from .progressions import ProgressionSpec, ordered_progression
 from .subgroups import (
     QuotientView,
     SubgroupHandle,
+    _commutator_levels,
     check_normal,
     normal_closure,
     quotient_project,
@@ -451,24 +452,6 @@ class StepReduction:
         return None
 
 
-def _left_normed_levels(gens: list[Element], depth: int, parent) -> list[set]:
-    """Deduplicated levels of left-normed commutators [g1,...,gt]."""
-    identity = parent.identity_coords()
-    mul, inv = parent.mul, parent.inv
-    base = {g.coords for g in gens if g.coords != identity}
-    levels = [base]
-    for _ in range(depth - 1):
-        nxt = set()
-        for c in levels[-1]:
-            ci = inv(c)
-            for g in base:
-                comm = mul(mul(ci, inv(g)), mul(c, g))
-                if comm != identity:
-                    nxt.add(comm)
-        levels.append(nxt)
-    return levels
-
-
 def containment_radius(
     S: GSet, A: GSet, budget: int | None = None, max_power: int = 64
 ) -> int:
@@ -628,8 +611,7 @@ def _reduce_step(
 
     lifted = [proj.section_element(h.coords) for h in fac.oracle.best.H.gen_elements()]
     g0_gens = lifted + [Element(parent, g.coords) for g in proj.kernel_gens]
-    levels = _left_normed_levels(g0_gens, step, parent)
-    gamma = levels[-1]
+    gamma = _commutator_levels(parent, g0_gens, step, budget, "step_reduction")[-1]
     amb_elems = list(ambient.aset.elements())
     if not gamma:
         N = trivial_N

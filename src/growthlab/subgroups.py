@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .config import resolve_budget
 from .errors import BudgetExceeded, NotNilpotent, ParentMismatch
 from .groups import Element, commutator
-from .gset import GSet
+from .gset import GSet, product
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def _adjoin(parent, members: set, gens: list, new, budget: int, op: str) -> None
     the generators gives the generated subgroup when that is finite (every
     element has finite order); an infinite one hits the budget.
     """
-    mul = parent.mul
+    mul, right_row = parent.mul, parent.right_row
     for s in new:
         if s in members:
             continue
@@ -74,7 +74,7 @@ def _adjoin(parent, members: set, gens: list, new, budget: int, op: str) -> None
             for g in gens:
                 w = mul(r, g)
                 if w not in members:
-                    members.update([mul(h, w) for h in old])
+                    members.update(right_row(old, w))
                     if len(members) > budget:
                         raise BudgetExceeded(op, len(members), budget)
                     reps.append(w)
@@ -163,16 +163,13 @@ def check_normal(H: SubgroupHandle, conj_gens, budget: int | None = None) -> Sub
     """Return a copy of H with its normality verdict against conj_gens filled in."""
     gens = _gen_list(conj_gens)
     parent = H.parent
-    mul, inv = parent.mul, parent.inv
-    ok = True
-    for g in gens:
-        gc, gi = g.coords, inv(g.coords)
-        for x in H.elements.members:
-            if mul(mul(gc, x), gi) not in H.elements:
-                ok = False
-                break
-        if not ok:
-            break
+    members = H.elements.members
+    left_row, right_row, inv = parent.left_row, parent.right_row, parent.inv
+    # g·H·g⁻¹ as two rows, (g·H)·g⁻¹.
+    ok = all(
+        members.issuperset(right_row(left_row(g.coords, members), inv(g.coords)))
+        for g in gens
+    )
     return SubgroupHandle(
         parent, H.elements, H.generators,
         is_normal=ok, normal_gens=frozenset(g.coords for g in gens),
@@ -208,6 +205,31 @@ def step_of(H: SubgroupHandle, budget: int | None = None) -> int:
     raise NotNilpotent(f"series did not terminate within step {limit}")
 
 
+def _commutator_levels(parent, gens, depth: int, budget: int, op: str) -> list[set]:
+    """Deduplicated left-normed commutator levels L_1, ..., L_depth.
+
+    L_1 holds the generators other than 1 and L_{t+1} = {[c, g] ≠ 1 : c ∈ L_t,
+    g ∈ L_1} with [c, g] = c⁻¹g⁻¹cg.  Each inverse is computed once; a level
+    larger than the budget raises BudgetExceeded(op).
+    """
+    ident = parent.identity_coords()
+    mul, inv, left_row = parent.mul, parent.inv, parent.left_row
+    base = {g.coords for g in gens} - {ident}
+    gs = list(base)
+    gis = [inv(g) for g in gs]
+    levels = [base]
+    for _ in range(depth - 1):
+        nxt = set()
+        for c in levels[-1]:
+            # [c, g] = (c⁻¹·g⁻¹)·(c·g): two rows, then one product per g.
+            nxt.update(map(mul, left_row(inv(c), gis), left_row(c, gs)))
+        nxt.discard(ident)
+        if len(nxt) > budget:
+            raise BudgetExceeded(op, len(nxt), budget)
+        levels.append(nxt)
+    return levels
+
+
 def step_of_generated(gens, budget: int | None = None) -> int:
     """Nilpotency step of <gens> computed from generators alone.
 
@@ -222,27 +244,9 @@ def step_of_generated(gens, budget: int | None = None) -> int:
     if not gen_elems:
         return 0
     parent = gen_elems[0].parent
-    ident = parent.identity_coords()
-    gcs = sorted({g.coords for g in gen_elems} - {ident})
-    if not gcs:
-        return 0
-    limit = parent.structural_step
-    levels = [set(gcs)]
-    mul, inv = parent.mul, parent.inv
-
-    def comm(a, b):
-        return mul(mul(inv(a), inv(b)), mul(a, b))
-
-    for _ in range(1, limit + 1):
-        nxt = set()
-        for c in levels[-1]:
-            for g in gcs:
-                w = comm(c, g)
-                if w != ident:
-                    nxt.add(w)
-        if len(nxt) > budget:
-            raise BudgetExceeded("step_of_generated", len(nxt), budget)
-        levels.append(nxt)
+    levels = _commutator_levels(
+        parent, gen_elems, parent.structural_step + 1, budget, "step_of_generated"
+    )
     if levels[-1]:
         raise NotNilpotent("nonvanishing commutators beyond the structural step")
     step = 0
@@ -294,14 +298,24 @@ class QuotientView:
         c = self.base.reduce(tuple(coords))
         r = cache.get(c)
         if r is None:
-            mul = self.base.mul
-            coset = [mul(c, k) for k in self._kernel_sorted]
+            coset = self.base.left_row(c, self._kernel_sorted)
             r = min(coset)
             cache.update(dict.fromkeys(coset, r))
         return r
 
     def mul(self, a, b):
         return self.reduce(self.base.mul(a, b))
+
+    # A base row is canonical, so each entry is one cache lookup; only a
+    # miss (a coset not met before) goes through `reduce`.  Representatives
+    # are nonempty tuples, hence true.
+    def left_row(self, a, bs):
+        get, reduce = self._rep_cache.get, self.reduce
+        return [get(c) or reduce(c) for c in self.base.left_row(a, bs)]
+
+    def right_row(self, as_, b):
+        get, reduce = self._rep_cache.get, self.reduce
+        return [get(c) or reduce(c) for c in self.base.right_row(as_, b)]
 
     def inv(self, a):
         return self.reduce(self.base.inv(a))
@@ -375,13 +389,14 @@ def quotient_project(q: QuotientView, A: GSet) -> GSet:
     return GSet(q, (q.reduce(c) for c in A.members), _reduced=True)
 
 
-def preimage_subgroup(q: QuotientView, S: SubgroupHandle) -> SubgroupHandle:
-    """Full preimage in the base of a subgroup of the quotient."""
+def preimage_subgroup(
+    q: QuotientView, S: SubgroupHandle, budget: int | None = None
+) -> SubgroupHandle:
+    """Full preimage in the base of a subgroup of the quotient: the product S·K."""
     if S.parent != q:
         raise ParentMismatch("subgroup does not live in this quotient")
-    mul = q.base.mul
-    members = {mul(s, k) for s in S.elements.members for k in q.kernel.elements.members}
-    return SubgroupHandle(q.base, GSet(q.base, members, _reduced=True))
+    reps = GSet(q.base, S.elements.members, _reduced=True)
+    return SubgroupHandle(q.base, product(reps, q.kernel.elements, budget))
 
 
 def enumerate_parent(parent, budget: int | None = None) -> GSet:

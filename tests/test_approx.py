@@ -104,6 +104,16 @@ def test_fibre_cover_pigeonhole():
     assert fc.core.is_symmetric()
 
 
+def test_fibre_cover_honours_budget():
+    parent = FiniteAbelian((12, 12))
+    A = symmetrize(GSet(parent, [(1, 0), (0, 1), (4, 2)], _reduced=True))
+    H = span([Element(parent, (4, 0)), Element(parent, (0, 4))])
+    with pytest.raises(BudgetExceeded) as err:
+        fibre_cover(A, H, max_cosets=16, budget=62)  # keying costs |A|·|H| = 7·9 pairs
+    assert (err.value.op, err.value.needed) == ("fibre_cover", 63)
+    assert len(fibre_cover(A, H, max_cosets=16, budget=63).reps) <= 16
+
+
 def test_sumset_growth_table():
     A = generate_example("random-symmetric ab:101 size=13 seed=5")
     K, rows = sumset_growth_table(A, 4, 4)

@@ -6,7 +6,8 @@ precomputed index-pair table for larger n, precomputed factor slices for
 direct products), and `QuotientView.reduce` fills its cache a whole coset
 at a time.  The functions below are the generic implementations they
 replaced; every fast path must agree with them on arbitrary integer input,
-including entries far beyond 64 bits.
+including entries far beyond 64 bits.  The row kernels `left_row` and
+`right_row` must return exactly the list of single products, in order.
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,6 +223,67 @@ def test_direct_product_matches_per_factor_loop(G, data):
     ca, cb = G.reduce(a), G.reduce(b)
     assert G.mul(ca, cb) == ref_product_mul(G, ca, cb)
     assert G.mul(ca, G.inv(ca)) == G.identity_coords()
+
+
+# --------------------------------------------------------------------------
+# Row kernels: left_row(a, bs) = [a·b for b in bs], right_row(as_, b) = [a·b for a in as_]
+
+
+def _assert_rows(G, a, b, xs):
+    assert G.left_row(a, xs) == [G.mul(a, x) for x in xs]
+    assert G.right_row(xs, b) == [G.mul(x, b) for x in xs]
+
+
+@st.composite
+def _row_case(draw, group):
+    G = draw(group)
+    xs = draw(st.lists(_coords(G.arity), max_size=6))
+    return G, draw(_coords(G.arity)), draw(_coords(G.arity)), xs
+
+
+_ut_groups = st.builds(Unitriangular, st.sampled_from((2, 3, 4, 5)), st.sampled_from((0, 2, 7)))
+_ab_groups = st.lists(st.sampled_from((0, 1, 2, 3, 12, 101)), min_size=1, max_size=4).map(
+    lambda ms: FiniteAbelian(tuple(ms))
+)
+
+
+@settings(max_examples=200)
+@given(_row_case(_ut_groups))
+def test_unitriangular_rows_match_mul(case):
+    _assert_rows(*case)
+
+
+@settings(max_examples=200)
+@given(_row_case(st.one_of(_ab_groups, st.sampled_from(_PRODUCTS[:1]))))
+def test_abelian_and_product_rows_match_mul(case):
+    _assert_rows(*case)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from((3, 5, 7)), st.booleans(), st.data())
+def test_quotient_rows_match_reference_cold_and_warm(p, warm, data):
+    U = Unitriangular(3, p)
+    q = QuotientView(U, derived_subgroup(U.generators()))  # a fresh, cold cache
+    canonical = _coords(3, st.integers(0, p - 1))
+    a, b = data.draw(canonical), data.draw(canonical)
+    xs = data.draw(st.lists(canonical, max_size=8))
+    if warm:  # every other entry of each row hits the cache, the rest may miss
+        for x in xs[::2]:
+            q.mul(a, x)
+            q.mul(x, b)
+    assert q.left_row(a, xs) == [ref_quotient_reduce(q, ref_ut_mul(U, a, x)) for x in xs]
+    assert q.right_row(xs, b) == [ref_quotient_reduce(q, ref_ut_mul(U, x, b)) for x in xs]
+
+
+def test_rows_of_empty_and_singleton_operands():
+    U = Unitriangular(3, 5)
+    q = QuotientView(U, derived_subgroup(U.generators()))
+    for G in (U, Unitriangular(3, 0), Unitriangular(4, 2), FiniteAbelian((0, 7)), _PRODUCTS[0], q):
+        x, y = G.generator_coords()[0], G.generator_coords()[-1]
+        assert G.left_row(x, []) == [] and G.right_row([], y) == []
+        assert G.left_row(x, [y]) == [G.mul(x, y)]
+        assert G.right_row([x], y) == [G.mul(x, y)]
+        assert G.left_row(x, frozenset([y])) == [G.mul(x, y)]
 
 
 def test_kernels_stay_class_level_and_tables_stay_out_of_equality():

@@ -164,6 +164,8 @@ def test_cli_bad_input_exit_two(capsys):
     assert "FormatError" in capsys.readouterr().err
     assert main(["gen", "progression", "ab:5", "gens=1", "bounds=x"]) == 2
     assert "RecipeError" in capsys.readouterr().err
+    assert main(["prog", "verify", "ut:3:0", "--gens", "1,0", "--bounds", "1"]) == 2
+    assert "FormatError" in capsys.readouterr().err
 
 
 def test_cli_malformed_scenario_file_exit_two(tmp_path, capsys):

@@ -6,6 +6,7 @@ lower-central-series oracle that saturates commutator sets directly.
 import pytest
 
 from growthlab import (
+    BudgetExceeded,
     Element,
     FiniteAbelian,
     GSet,
@@ -109,6 +110,15 @@ def test_quotient_project_and_preimage():
     back = preimage_subgroup(q, span([q.element(q.reduce((1, 0, 0)))]))
     assert back.parent == H3
     assert back.order() == 9
+
+
+def test_preimage_subgroup_honours_budget():
+    q = QuotientView(H3, derived_subgroup(H3.generators()))
+    S = span([q.element(q.reduce((1, 0, 0)))])
+    with pytest.raises(BudgetExceeded) as err:
+        preimage_subgroup(q, S, budget=8)  # |S|·|K| = 3·3 pairs
+    assert (err.value.op, err.value.needed) == ("product", 9)
+    assert preimage_subgroup(q, S, budget=9).order() == 9
 
 
 def test_views_do_not_nest():
