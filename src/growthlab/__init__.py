@@ -83,7 +83,6 @@ from .pipeline import (
     Decomposition,
     Factorization,
     Piece,
-    PipelineConfig,
     Projection,
     PullbackReport,
     RuzsaBranchReport,
@@ -96,7 +95,6 @@ from .pipeline import (
     corollary_covers,
     decompose,
     in_cyclic,
-    normal_closure_radius,
     pullback_check,
     step_reduction,
     word_radius_bound,

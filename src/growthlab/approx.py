@@ -317,7 +317,8 @@ def sumset_growth_table(
     """|mA - nA| against K^{m+n} |A| with K = |A+A|/|A|, all exact.
 
     Positive chains are shared and each row extends the previous by one
-    difference, so the whole table costs mmax-1 + mmax*nmax products.
+    difference, so the whole table costs mmax-1 + mmax*nmax products.  The
+    pairs of all of them together are counted against the budget.
     """
     budget = resolve_budget(budget)
     if len(A) == 0:
@@ -326,15 +327,24 @@ def sumset_growth_table(
         raise NotAbelian("sumset growth is an abelian statement")
     neg = inverse_set(A)
     K = doubling_constant(A, budget)
+    pairs = 0
+
+    def extend(S: GSet, T: GSet) -> GSet:
+        nonlocal pairs
+        pairs += len(S) * len(T)
+        if pairs > budget:
+            raise BudgetExceeded("sumset_growth_table", pairs, budget)
+        return product(S, T, budget)
+
     rows = []
     pos = A
     for m in range(1, mmax + 1):
         if m > 1:
-            pos = product(pos, A, budget)
+            pos = extend(pos, A)
         cur = pos
         for n in range(0, nmax + 1):
             if n > 0:
-                cur = product(cur, neg, budget)
+                cur = extend(cur, neg)
             if m + n < 2:
                 continue
             bound = K ** (m + n) * len(A)

@@ -126,18 +126,19 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     if args.action == "decompose":
+        if args.rank_max is not None:
+            raise FormatError("--rank-max applies to factorize and reduce, not decompose")
         ops = [{"op": "certify"}, {"op": "decompose"}]
         if args.corollary in ("ruzsa", "both"):
             ops.append({"op": "corollary", "which": "ruzsa"})
         if args.corollary in ("chang", "both"):
             ops.append({"op": "corollary", "which": "chang"})
-    elif args.action == "factorize":
-        ops = [{"op": "certify"}, {"op": "factorize", "rank_max": args.rank_max}]
     else:
-        ops = [
-            {"op": "certify"},
-            {"op": "reduce", "m": args.m, "rank_max": args.rank_max},
-        ]
+        rank_max = 3 if args.rank_max is None else args.rank_max
+        if args.action == "factorize":
+            ops = [{"op": "certify"}, {"op": "factorize", "rank_max": rank_max}]
+        else:
+            ops = [{"op": "certify"}, {"op": "reduce", "m": args.m, "rank_max": rank_max}]
     return _scenario_run(f"pipeline-{args.action}", _recipe(args.recipe), tuple(ops), args)
 
 
@@ -227,7 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("decompose", "factorize", "reduce"))
     p.add_argument("recipe", nargs="+")
     p.add_argument("--corollary", choices=("ruzsa", "chang", "both", "none"), default="both")
-    p.add_argument("--rank-max", type=int, default=3, dest="rank_max")
+    p.add_argument(
+        "--rank-max", type=int, default=None, dest="rank_max",
+        help="oracle rank cap for factorize and reduce (default 3)",
+    )
     p.add_argument("--m", type=int, default=1)
     _add_common(p)
     p.set_defaults(fn=_cmd_pipeline)

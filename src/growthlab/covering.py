@@ -78,7 +78,7 @@ def verify_translate_cover(A: GSet, X: GSet, B: GSet, budget: int, op: str) -> N
             raise CertificateError("cover failed exact verification")
 
 
-def _disjoint_translates(A: GSet, B: GSet, keep_at_most: int | None = None) -> list[tuple]:
+def _disjoint_translates(A: GSet, B: GSet) -> list[tuple]:
     """Greedy maximal subset of A whose left-translates of B are pairwise disjoint."""
     left_row = A.parent.left_row
     kept = []
@@ -89,8 +89,6 @@ def _disjoint_translates(A: GSet, B: GSet, keep_at_most: int | None = None) -> l
             continue
         kept.append(a)
         occupied.update(aB)
-        if keep_at_most is not None and len(kept) >= keep_at_most:
-            break
     return kept
 
 

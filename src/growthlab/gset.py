@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .config import resolve_budget
-from .errors import BudgetExceeded, ParentMismatch
+from .errors import BudgetExceeded, ContainmentError, ParentMismatch
 from .groups import Element
 
 
@@ -32,17 +32,6 @@ class GSet:
 
     def __setattr__(self, *a):
         raise AttributeError("GSet is immutable")
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[Element]) -> "GSet":
-        elements = list(elements)
-        if not elements:
-            raise ValueError("cannot infer parent of an empty set")
-        parent = elements[0].parent
-        for e in elements:
-            if e.parent != parent:
-                raise ParentMismatch("mixed parents")
-        return cls(parent, (e.coords for e in elements), _reduced=True)
 
     @classmethod
     def identity_set(cls, parent) -> "GSet":
@@ -190,6 +179,36 @@ def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
         prev = cur.members
         cur = GSet(A.parent, out, _reduced=True)
         yield cur
+
+
+def _least_powers(
+    A: GSet, targets: list[frozenset], budget: int, op: str, escape: str
+) -> list[int]:
+    """Least k >= 1 with T ⊆ A^k for each target T, from one walk A, A², …
+
+    Each power is checked against every open target before the next one is
+    built.  A power equal to the one before means the walk has stabilised at
+    the subgroup A generates, so a target still open raises
+    ContainmentError(escape).  Without 1 ∈ A the powers can cycle without
+    ever repeating one step to the next, so the walk also stops after
+    `budget` powers with BudgetExceeded(op).
+    """
+    found = [0] * len(targets)
+    walk = powers(A, budget)
+    cur = next(walk)
+    k = 1
+    while True:
+        for i, T in enumerate(targets):
+            if not found[i] and T <= cur.members:
+                found[i] = k
+        if all(found):
+            return found
+        if k >= budget:
+            raise BudgetExceeded(op, k + 1, budget)
+        nxt = next(walk)
+        if nxt.members == cur.members:
+            raise ContainmentError(escape)
+        cur, k = nxt, k + 1
 
 
 def power_chain(A: GSet, n: int, budget: int | None = None) -> list[GSet]:

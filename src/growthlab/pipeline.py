@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .approx import ApproxCertificate, _slice_certificate, certify
 from .config import resolve_budget
-from .covering import Meter, chang_cover, meets_translated, ruzsa_cover
+from .covering import chang_cover, ruzsa_cover, verify_translate_cover
 from .errors import (
     BudgetExceeded,
     CertificateError,
@@ -26,7 +26,7 @@ from .errors import (
     StepTooLow,
 )
 from .groups import DirectProduct, Element, FiniteAbelian, Unitriangular
-from .gset import GSet, inverse_set, power, power_chain, powers, product
+from .gset import GSet, _least_powers, power, power_chain, product
 from .oracle import OracleResult, derive_sanders_cover, find_coset_progression
 from .progressions import ProgressionSpec, ordered_progression
 from .subgroups import (
@@ -41,14 +41,8 @@ from .subgroups import (
 )
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs shared by the decomposition drivers."""
-
-    rank_max: int = 3
-    budget: int | None = None
-    max_power: int = 64
-    c0: float = 8.0
+# The oracle's rank cap wherever `decompose` runs the oracle.
+DECOMPOSE_RANK_MAX = 3
 
 
 # --------------------------------------------------------------------------
@@ -266,10 +260,15 @@ def _cyclic_membership(parent, x_coords, budget: int):
 
 @dataclass(frozen=True)
 class SectionMap:
-    """Least-coordinate preimage choice φ: π(A) → A with verified defects."""
+    """Least-coordinate preimage choice φ: π(A) → A with verified defects.
+
+    `pairs_checked` counts the pairs (x, y) with x, y, xy in π(A) whose
+    defect (ii) was verified.
+    """
 
     quotient: QuotientView
     table: dict
+    pairs_checked: int
 
     def apply(self, coords) -> tuple:
         return self.table[self.quotient.reduce(tuple(coords))]
@@ -299,16 +298,18 @@ def build_section(q: QuotientView, A: GSet, budget: int | None = None) -> Sectio
         if defect not in A2.members or defect not in N:
             raise CertificateError("section defect (i) escaped A^2 ∩ N")
     keys = sorted(table)
+    pairs = 0
     for x in keys:
         for y in keys:
             xy = q.mul(x, y)
             if xy not in table:
                 continue
+            pairs += 1
             fx_fy = base.mul(table[x], table[y])
             defect = base.mul(base.inv(fx_fy), table[xy])
             if defect not in A3.members or defect not in N:
                 raise CertificateError("section defect (ii) escaped A^3 ∩ N")
-    return SectionMap(q, table)
+    return SectionMap(q, table, pairs)
 
 
 @dataclass(frozen=True)
@@ -445,38 +446,21 @@ class StepReduction:
     reduced_parent: object | None  # None: factors already live low enough
     product_size: int
 
-    @property
-    def quotient_kernel(self) -> SubgroupHandle | None:
-        if isinstance(self.reduced_parent, QuotientView):
-            return self.reduced_parent.kernel
-        return None
 
-
-def containment_radius(
-    S: GSet, A: GSet, budget: int | None = None, max_power: int = 64
-) -> int:
+def containment_radius(S: GSet, A: GSet, budget: int | None = None) -> int:
     """Least k with S ⊆ A^k (A⁰ = {1}); errors if S escapes ⟨A⟩."""
     budget = resolve_budget(budget)
     if S.parent != A.parent:
         raise ParentMismatch("radius needs a common parent")
-    identity = A.parent.identity_coords()
-    if S.members == frozenset((identity,)):
+    if S.members == frozenset((A.parent.identity_coords(),)):
         return 0
-    walk = powers(A, budget)
-    cur = next(walk)
-    for k in range(1, max_power + 1):
-        if S.members <= cur.members:
-            return k
-        nxt = next(walk)
-        if nxt.members == cur.members:
-            raise ContainmentError("set escapes the group generated by A")
-        cur = nxt
-    raise BudgetExceeded("containment_radius", max_power + 1, max_power)
+    return _least_powers(
+        A, [S.members], budget, "containment_radius",
+        "set escapes the group generated by A",
+    )[0]
 
 
-def word_radius_bound(
-    spec: ProgressionSpec, A: GSet, budget: int | None = None, max_power: int = 64
-) -> int:
+def word_radius_bound(spec: ProgressionSpec, A: GSet, budget: int | None = None) -> int:
     """Certified exponent k with the realized progression inside A^k.
 
     Measures each generator's radius exactly (generators are short words,
@@ -487,49 +471,15 @@ def word_radius_bound(
     millions of elements, while this bound costs a few tiny walks.
     """
     budget = resolve_budget(budget)
-    pending = {i: g.coords for i, g in enumerate(spec.generators)}
-    radii: dict[int, int] = {}
     identity = A.parent.identity_coords()
-    for i, c in list(pending.items()):
-        if c == identity:
-            radii[i] = 0
-            del pending[i]
-    walk = powers(A, budget)
-    cur = next(walk)
-    for k in range(1, max_power + 1):
-        for i in [i for i, c in pending.items() if c in cur.members]:
-            radii[i] = k
-            del pending[i]
-        if not pending:
-            break
-        nxt = next(walk)
-        if nxt.members == cur.members:
-            raise ContainmentError("a generator escapes the group generated by A")
-        cur = nxt
-    if pending:
-        raise BudgetExceeded("word_radius_bound", max_power + 1, max_power)
-    return sum(radii[i] * b for i, b in enumerate(spec.bounds))
-
-
-def normal_closure_radius(
-    H: SubgroupHandle,
-    cert: ApproxCertificate,
-    budget: int | None = None,
-    max_power: int = 64,
-) -> tuple[SubgroupHandle, int]:
-    """Normal closure of H under conjugation by A, with its measured radius."""
-    budget = resolve_budget(budget)
-    A = cert.aset
-    parent = A.parent
-    if H.parent != parent:
-        raise ParentMismatch("subgroup lives elsewhere")
-    if parent.is_finite() and parent.order() is not None:
-        generated = span(list(A.elements()), budget)
-        if generated.order() != parent.order():
-            raise ValueError("A does not generate the (finite) backend")
-    N = normal_closure(H, list(A.elements()), budget)
-    radius = 0 if N.is_trivial() else containment_radius(N.elements, A, budget, max_power)
-    return N, radius
+    gens = [g.coords for g in spec.generators]
+    moved = [c for c in gens if c != identity]
+    found = _least_powers(
+        A, [frozenset((c,)) for c in moved], budget,
+        "word_radius_bound", "a generator escapes the group generated by A",
+    )
+    radius = dict(zip(moved, found))
+    return sum(radius.get(c, 0) * b for c, b in zip(gens, spec.bounds))
 
 
 def step_reduction(
@@ -705,15 +655,10 @@ class Decomposition:
         }
 
 
-def _base_elements(base, coords_iter) -> list[Element]:
-    return [Element(base, c) for c in coords_iter]
-
-
 def _expand(
     cert: ApproxCertificate,
     ambient: ApproxCertificate,
     m: int,
-    config: PipelineConfig,
     budget: int,
     logs: list[str],
     depth: int,
@@ -728,13 +673,13 @@ def _expand(
     base = parent.base if is_view else parent
 
     if step <= 1:
-        res = find_coset_progression(cert.aset, rank_max=config.rank_max, budget=budget)
+        res = find_coset_progression(cert.aset, DECOMPOSE_RANK_MAX, budget)
         sc = derive_sanders_cover(cert.aset, res, budget, K=cert.K_lower)
         logs.append(
             f"depth {depth}: base case |A~|={len(cert.aset)} rank={res.best.rank} "
             f"|H~|={res.best.H.order()} |X|={len(sc.X)}"
         )
-        seeds = _base_elements(base, res.best.H.elements.members)
+        seeds = [Element(base, c) for c in res.best.H.elements.members]
         if is_view:
             seeds += parent.kernel.gen_elements()
         seeds = [e for e in seeds if e.coords != base.identity_coords()]
@@ -755,7 +700,7 @@ def _expand(
 
     _check_inside_power(cert, ambient, m, budget)
     red, reduced_sets, steps, B = _reduce_step(
-        cert, ambient, config.rank_max, budget, step
+        cert, ambient, DECOMPOSE_RANK_MAX, budget, step
     )
     rc = ruzsa_cover(cert.aset, B, budget)
     logs.append(
@@ -776,7 +721,7 @@ def _expand(
     factor_pieces: list[list[Piece]] = []
     for f, sub_step in zip(sub_certs, steps):
         sub_normals, sub_pieces = _expand(
-            f, ambient, 2 * m, config, budget, logs, depth + 1, sub_step
+            f, ambient, 2 * m, budget, logs, depth + 1, sub_step
         )
         normals.extend(sub_normals)
         factor_pieces.append(sub_pieces)
@@ -785,13 +730,6 @@ def _expand(
     for plist in reversed(factor_pieces):
         pieces.extend(plist)
     return normals, pieces
-
-
-def _chain_product(start: GSet, sets, budget: int) -> GSet:
-    out = start
-    for S in sets:
-        out = product(out, S, budget)
-    return out
 
 
 def _suffix_products(sets: list[GSet], budget: int) -> list[GSet]:
@@ -840,7 +778,7 @@ def _pigeonhole(
     return final
 
 
-def decompose(cert: ApproxCertificate, config: PipelineConfig | None = None) -> Decomposition:
+def decompose(cert: ApproxCertificate, budget: int | None = None) -> Decomposition:
     """Cover A·H by H times an ordered product of progression/sparse pieces.
 
     Recursion on the step: step reduction splits the set into slice factors,
@@ -851,8 +789,7 @@ def decompose(cert: ApproxCertificate, config: PipelineConfig | None = None) -> 
     exactly in the base group.  Density δ = |H·P_ord| / |A·H| is measured
     and recorded (only positivity is asserted).
     """
-    config = config or PipelineConfig()
-    budget = resolve_budget(config.budget)
+    budget = resolve_budget(budget)
     A = cert.aset
     parent = A.parent
     if isinstance(parent, QuotientView):
@@ -867,13 +804,13 @@ def decompose(cert: ApproxCertificate, config: PipelineConfig | None = None) -> 
         if not AH.members <= H.elements.members:
             raise ContainmentError("span of A failed to absorb A·H")
         logs.append(f"small doubling {cert.K_lower}: H = <A>, |H|={H.order()}")
-        radius_H = containment_radius(H.elements, A, budget, config.max_power)
+        radius_H = containment_radius(H.elements, A, budget)
         return Decomposition(
             H, (), (), None, GSet.identity_set(parent), step, len(A),
             cert.K_upper, radius_H, 0, 0, Fraction(1), tuple(logs),
         )
 
-    normals, raw_pieces = _expand(cert, cert, 1, config, budget, logs, 0, step)
+    normals, raw_pieces = _expand(cert, cert, 1, budget, logs, 0, step)
     gen_pool: list[Element] = []
     for N in normals:
         if not N.is_trivial():
@@ -915,15 +852,15 @@ def decompose(cert: ApproxCertificate, config: PipelineConfig | None = None) -> 
     xi = tuple(prog_pos + sparse_pos)
     radius_H = (
         0 if H.is_trivial()
-        else containment_radius(H.elements, A, budget, config.max_power)
+        else containment_radius(H.elements, A, budget)
     )
     if parent.is_finite():
-        radius_P = containment_radius(P_realized, A, budget, config.max_power)
+        radius_P = containment_radius(P_realized, A, budget)
         radius_note = "minimal"
     else:
         # Minimal exponents on infinite backends can hide behind balls of
         # millions of elements; report the certified word-length bound.
-        radius_P = word_radius_bound(P_spec, A, budget, config.max_power)
+        radius_P = word_radius_bound(P_spec, A, budget)
         radius_note = "word-length bound"
     logs.append(
         f"final: |H|={H.order()} pieces={len(pieces)} rank={P_spec.rank} "
@@ -959,47 +896,18 @@ class ChangBranchReport:
     verified: bool
 
 
-def _verify_sandwich_cover(
-    A: GSet,
-    X: GSet,
-    H: SubgroupHandle,
-    P: GSet,
-    budget: int,
-    label: str,
-) -> None:
-    """Exact check A ⊆ X·H·P·P⁻¹ without materialising P·P⁻¹.
-
-    Membership is decided per element through the witness equivalence
-    a ∈ x·h·P·P⁻¹  ⇔  ((x·h)⁻¹ a)·P ∩ P ≠ ∅; the scan over P exits on the
-    first witness and is metered against the budget.
-    """
-    parent = A.parent
-    est = len(X) * len(H.elements) * len(P)
-    if est <= budget and est * len(P) <= budget:
-        covered = _chain_product(X, [H.elements, P, inverse_set(P)], budget)
-        if not A.members <= covered.members:
-            raise ContainmentError(f"{label} missed part of A")
-        return
-    mul, inv = parent.mul, parent.inv
-    meter = Meter(f"{label} verification", budget)
-    members = P.members
-    for a in A.sorted_members():
-        if not any(
-            meets_translated(parent, mul(inv(mul(x, h)), a), members, meter)
-            for x in X.sorted_members()
-            for h in H.elements.members
-        ):
-            raise ContainmentError(f"{label} missed part of A")
-
-
 def corollary_covers(
     dec: Decomposition,
     cert: ApproxCertificate,
     which: str,
     budget: int | None = None,
-    c0: float = 8.0,
 ):
-    """Convert a decomposition into one of the two global cover formats."""
+    """Convert a decomposition into one of the two global cover formats.
+
+    Both check their cover with the Ruzsa witness scan of
+    `verify_translate_cover`, on X·H for the cover set: X·H·P·P⁻¹ is
+    (X·H)·P·P⁻¹.
+    """
     budget = resolve_budget(budget)
     A = cert.aset
     parent = A.parent
@@ -1023,7 +931,8 @@ def corollary_covers(
                 for x in rc.X.sorted_members()
             ]
             X = GSet(parent, lift, _reduced=True)
-        _verify_sandwich_cover(A, X, dec.H, P, budget, "X·H·P·P⁻¹")
+        XH = product(X, dec.H.elements, budget)
+        verify_translate_cover(A, XH, P, budget, "X·H·P·P⁻¹ verification")
         rank = 2 * (dec.P_ord_final.rank if dec.P_ord_final else 0)
         return RuzsaBranchReport(X, rc.ratio_bound, rank, True)
 
@@ -1038,7 +947,7 @@ def corollary_covers(
         # projection preserves the containment, so the power precondition is
         # already established.
         m = max(1, dec.radius_P)
-        cc = chang_cover(cert_q, Bbar, m, c0, budget, assume_in_power=True)
+        cc = chang_cover(cert_q, Bbar, m, budget=budget, assume_in_power=True)
         stage_lifts = [
             GSet(parent, S.sorted_members(), _reduced=True) for S in cc.stages
         ]
@@ -1050,7 +959,8 @@ def corollary_covers(
         T = P
         for S in stage_lifts[:-1]:
             T = product(S, T, budget)
-        _verify_sandwich_cover(A, stage_lifts[-1], dec.H, T, budget, "(realized P)·H")
+        SH = product(stage_lifts[-1], dec.H.elements, budget)
+        verify_translate_cover(A, SH, T, budget, "(realized P)·H verification")
         rank = 2 * (dec.P_ord_final.rank if dec.P_ord_final else 0)
         rank += sum(len(S) for S in cc.stages)
         return ChangBranchReport(cc.t, tuple(len(S) for S in cc.stages), rank, True)

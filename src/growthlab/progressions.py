@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .config import resolve_budget
 from .errors import BudgetExceeded, ContainmentError, ParentMismatch
 from .groups import Element, commutator
-from .gset import GSet, powers, product
+from .gset import GSet, _least_powers, product
 
 
 @dataclass(frozen=True)
@@ -127,24 +127,6 @@ def word_progression(spec: ProgressionSpec, budget: int | None = None) -> GSet:
 # Basic commutators (Hall family) and the hull progression
 # --------------------------------------------------------------------------
 
-def _weight(term) -> int:
-    if isinstance(term, int):
-        return 1
-    return _weight(term[0]) + _weight(term[1])
-
-
-def _term_key(term):
-    if isinstance(term, int):
-        return (1, (0, term))
-
-    def enc(t):
-        if isinstance(t, int):
-            return (0, t)
-        return (1, enc(t[0]), enc(t[1]))
-
-    return (_weight(term), enc(term))
-
-
 def term_text(term, names=None) -> str:
     """Readable rendering, e.g. [[x2,x1],x1]."""
     if isinstance(term, int):
@@ -152,31 +134,36 @@ def term_text(term, names=None) -> str:
     return f"[{term_text(term[0], names)},{term_text(term[1], names)}]"
 
 
-def hall_basis(rank: int, step: int) -> list:
+def hall_basis(rank: int, step: int, budget: int | None = None) -> list:
     """Basic commutators of weight <= step over `rank` generators, in canonical order.
 
     A bracket [u, v] is basic when u and v are basic, u > v, and whenever
     u = [p, q] also q <= v.  Weight-1 terms are the generators themselves.
+    Terms are ordered by weight, then by their encoding (generator i is
+    (0, i), a bracket is (1, enc u, enc v)); each key is built once, from
+    its parts' keys.  The candidate pairs (u, v) are counted against the
+    budget before they are enumerated.
     """
     if rank < 0 or step < 1:
         raise ValueError("need rank >= 0 and step >= 1")
-    by_weight: dict[int, list] = {1: list(range(rank))}
-    basis = list(range(rank))
+    budget = resolve_budget(budget)
+    # weight -> sorted [(key, term, key of the term's right part)]
+    by_weight = {1: [((1, (0, i)), i, None) for i in range(rank)]}
+    pairs = 0
     for w in range(2, step + 1):
         fresh = []
         for wu in range(1, w):
-            wv = w - wu
-            for u in by_weight.get(wu, ()):
-                for v in by_weight.get(wv, ()):
-                    if _term_key(u) <= _term_key(v):
-                        continue
-                    if not isinstance(u, int) and _term_key(u[1]) > _term_key(v):
-                        continue
-                    fresh.append((u, v))
-        fresh.sort(key=_term_key)
+            us, vs = by_weight[wu], by_weight[w - wu]
+            pairs += len(us) * len(vs)
+            if pairs > budget:
+                raise BudgetExceeded("hall_basis", pairs, budget)
+            for ku, u, kq in us:
+                for kv, v, _ in vs:
+                    if ku > kv and (kq is None or kq <= kv):
+                        fresh.append(((w, (1, ku[1], kv[1])), (u, v), kv))
+        fresh.sort()
         by_weight[w] = fresh
-        basis.extend(fresh)
-    return basis
+    return [t for level in by_weight.values() for _, t, _ in level]
 
 
 def term_occurrences(term) -> Counter:
@@ -203,9 +190,6 @@ class HullProgression:
     basis_bounds: tuple[int, ...]
     members: GSet
 
-    def basis_spec(self) -> ProgressionSpec:
-        return ProgressionSpec(self.basis_elements, self.basis_bounds)
-
     def describe(self) -> list[tuple[str, int]]:
         return [(term_text(t), b) for t, b in zip(self.terms, self.basis_bounds)]
 
@@ -222,7 +206,7 @@ def hull_progression(
     parent = spec.parent
     if step is None:
         step = parent.structural_step
-    terms = hall_basis(spec.rank, step)
+    terms = hall_basis(spec.rank, step, budget)
     elems = tuple(evaluate_term(t, spec.generators) for t in terms)
     bounds = []
     for t in terms:
@@ -265,36 +249,23 @@ class ChainCertificate:
 
 
 def containment_exponent(
-    target: GSet,
-    spec: ProgressionSpec,
-    budget: int | None = None,
-    max_power: int = 64,
+    target: GSet, spec: ProgressionSpec, budget: int | None = None
 ) -> int:
     """Least k with target inside the k-th power of the ordered progression."""
     budget = resolve_budget(budget)
     P = ordered_progression(spec, budget)
     if target.parent != P.parent:
         raise ParentMismatch("target lives elsewhere")
-    walk = powers(P, budget)
-    cur = next(walk)
-    for k in range(1, max_power + 1):
-        if target <= cur:
-            return k
-        if k == max_power:
-            break
-        nxt = next(walk)
-        if nxt.members == cur.members:
-            # The generated subgroup is exhausted; containment is impossible.
-            raise ContainmentError("target escapes the subgroup generated by the progression")
-        cur = nxt
-    raise BudgetExceeded("containment_exponent", max_power + 1, max_power)
+    return _least_powers(
+        P, [target.members], budget, "containment_exponent",
+        "target escapes the subgroup generated by the progression",
+    )[0]
 
 
 def verify_chain(
     spec: ProgressionSpec,
     step: int | None = None,
     budget: int | None = None,
-    max_power: int = 64,
 ) -> ChainCertificate:
     """Check ordered <= word <= hull <= ordered^k* and report exact sizes."""
     budget = resolve_budget(budget)
@@ -308,7 +279,7 @@ def verify_chain(
         raise ContainmentError("ordered progression escapes the word progression")
     if not P_word <= hull.members:
         raise ContainmentError("word progression escapes the hull")
-    kstar = containment_exponent(hull.members, spec, budget, max_power)
+    kstar = containment_exponent(hull.members, spec, budget)
     bound = chain_bound(spec.rank, step)
     if kstar > bound:
         raise ContainmentError("containment power exceeds the theoretical bound")

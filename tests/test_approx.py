@@ -125,6 +125,15 @@ def test_sumset_growth_table():
             assert r.within
 
 
+def test_sumset_table_counts_every_product_against_budget():
+    # Each product of a 9-element set in ab:101 enumerates at most
+    # 101·9 pairs, under the budget; the 100×100 table's do not.
+    A = generate_example("random-symmetric ab:101 size=9 seed=3")
+    with pytest.raises(BudgetExceeded) as ei:
+        sumset_growth_table(A, 100, 100, budget=20_000)
+    assert ei.value.op == "sumset_growth_table"
+
+
 def test_sumset_table_needs_commuting_input():
     ball = generate_example("ball ut:3:5 radius=1")
     with pytest.raises(NotAbelian):

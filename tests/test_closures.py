@@ -20,15 +20,19 @@ from growthlab import (
     Element,
     FiniteAbelian,
     GSet,
+    ProgressionSpec,
     QuotientView,
     Unitriangular,
+    containment_exponent,
     containment_radius,
     in_cyclic,
     normal_closure,
+    ordered_progression,
     parse_group,
     power_chain,
     product,
     span,
+    word_radius_bound,
 )
 from growthlab.pipeline import _cyclic_membership
 
@@ -349,17 +353,37 @@ def test_power_chain_matches_plain_products(case):
 @given(_power_case(), st.data())
 def test_containment_radius_matches_plain_chain(case, data):
     A, n = case
+    G = A.parent
     chain = _power_chain_plain(A, n)
-    s = data.draw(st.sampled_from(sorted(chain[-1])))
-    S = GSet(A.parent, [s], _reduced=True)
-    if s == A.parent.identity_coords():
-        assert containment_radius(S, A) == 0
-    else:
-        assert containment_radius(S, A) == min(k for k, P in enumerate(chain, 1) if s in P)
+    gens = data.draw(st.lists(st.sampled_from(sorted(chain[-1])), min_size=1, max_size=2))
+    radii = [
+        0 if s == G.identity_coords() else min(k for k, P in enumerate(chain, 1) if s in P)
+        for s in gens
+    ]
+    assert containment_radius(GSet(G, [gens[0]], _reduced=True), A) == radii[0]
+    bounds = data.draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+    spec = ProgressionSpec(tuple(Element(G, s) for s in gens), tuple(bounds))
+    assert word_radius_bound(spec, A) == sum(r * b for r, b in zip(radii, bounds))
+    # containment_exponent counts from P¹, also for the identity (1 ∈ P)
+    P = ordered_progression(spec)
+    chain_P = _power_chain_plain(P, n)
+    t = data.draw(st.sampled_from(sorted(chain_P[-1])))
+    target = GSet(G, [t], _reduced=True)
+    assert containment_exponent(target, spec) == min(k for k, Q in enumerate(chain_P, 1) if t in Q)
 
 
 def test_containment_radius_reports_escape_after_stabilisation():
     Z12 = FiniteAbelian((12,))
     A = GSet(Z12, [(0,), (4,)], _reduced=True)
-    with pytest.raises(ContainmentError):
-        containment_radius(GSet(Z12, [(1,)], _reduced=True), A)
+    one = GSet(Z12, [(1,)], _reduced=True)
+    with pytest.raises(ContainmentError, match="set escapes the group generated by A"):
+        containment_radius(one, A)
+    with pytest.raises(ContainmentError, match="a generator escapes the group generated by A"):
+        word_radius_bound(ProgressionSpec((Element(Z12, (1,)),), (1,)), A)
+    with pytest.raises(ContainmentError, match="target escapes the subgroup generated by the progression"):
+        containment_exponent(one, ProgressionSpec((Element(Z12, (4,)),), (1,)))
+    # Without 1 the powers {4}, {8}, {0}, {4}, ... cycle and never repeat
+    # one step to the next: the walk stops at the budget instead.
+    with pytest.raises(BudgetExceeded) as ei:
+        containment_radius(one, GSet(Z12, [(4,)], _reduced=True), budget=50)
+    assert ei.value.op == "containment_radius"

@@ -2,6 +2,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthlab import (
     BudgetExceeded,
@@ -9,8 +11,10 @@ from growthlab import (
     FiniteAbelian,
     GSet,
     Meter,
+    Unitriangular,
     chang_cover,
     chang_t_bound,
+    derived_subgroup,
     greedy_cover_certificate,
     power,
     product,
@@ -111,3 +115,37 @@ def test_verify_translate_cover_both_paths():
         verify_translate_cover(stray, X, B, budget=400, op="check")
     with pytest.raises(CertificateError):
         verify_translate_cover(stray, X, B, budget=5_000_000, op="check")
+
+
+_UT3 = {p: Unitriangular(3, p) for p in (3, 5)}
+_CENTRES = {p: derived_subgroup(G.generators()).elements for p, G in _UT3.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_UT3)), st.data())
+def test_witness_scan_on_xh_matches_brute_force(p, data):
+    # The corollary covers check A ⊆ X·H·P·P⁻¹ as A ⊆ (X·H)·P·P⁻¹, here
+    # with H the centre of ut:3:p, on the materialised path (large budget)
+    # and on the streaming one (a budget just below |X·H|·|P|²).
+    G, H = _UT3[p], _CENTRES[p]
+    pool = sorted(G.iter_coords())
+
+    def draw_set(source, lo, hi):
+        members = data.draw(st.lists(st.sampled_from(source), min_size=lo, max_size=hi, unique=True))
+        return GSet(G, members, _reduced=True)
+
+    X, P = draw_set(pool, 1, 3), draw_set(pool, 2, 5)
+    mul, inv = G.mul, G.inv
+    covered = {
+        mul(mul(mul(x, h), s), inv(t))
+        for x in X.members for h in H.members for s in P.members for t in P.members
+    }
+    # |A| < |P| keeps the streaming scan's |A|·|X·H|·|P| probes within budget.
+    A = draw_set(sorted(covered) if data.draw(st.booleans()) else pool, 1, len(P) - 1)
+    XH = product(X, H)
+    for budget in (10**6, len(XH) * len(P) ** 2 - 1):
+        if A.members <= covered:
+            verify_translate_cover(A, XH, P, budget, "check")
+        else:
+            with pytest.raises(CertificateError):
+                verify_translate_cover(A, XH, P, budget, "check")

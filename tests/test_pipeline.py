@@ -21,7 +21,6 @@ from growthlab import (
     GSet,
     NotAbelian,
     ParentMismatch,
-    PipelineConfig,
     ProgressionSpec,
     QuotientView,
     Unitriangular,
@@ -88,6 +87,10 @@ def test_build_section_and_defects():
     q = QuotientView(H3, derived_subgroup(H3.generators()))
     sec = build_section(q, A)
     assert len(sec.table) == 9
+    assert sec.pairs_checked == 81  # π(A) is the whole quotient: every pair
+    # π(ball) = {0, ±e1, ±e2} in Z_3²: only the 17 pairs whose sum stays in it
+    sec = build_section(q, generate_example("ball ut:3:3 radius=1"))
+    assert (len(sec.table), sec.pairs_checked) == (5, 17)
     # section really is a section: reduce(apply(x)) == x
     for x in sec.table:
         assert q.reduce(sec.apply(x)) == x
@@ -190,7 +193,7 @@ def test_decompose_respects_config_budget():
     from growthlab import BudgetExceeded
 
     with pytest.raises(BudgetExceeded):
-        decompose(cert, PipelineConfig(budget=200))
+        decompose(cert, budget=200)
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +328,6 @@ _CHAINED_THRESHOLDS = (
 def test_decompose_budget_outcome_matches_chained_pigeonhole(recipe, threshold):
     cert = greedy_cover_certificate(generate_example(recipe))
     with pytest.raises(BudgetExceeded):
-        decompose(cert, PipelineConfig(budget=threshold - 1))
-    got = decompose(cert, PipelineConfig(budget=threshold))
+        decompose(cert, budget=threshold - 1)
+    got = decompose(cert, budget=threshold)
     assert got.to_report() == decompose(cert).to_report()

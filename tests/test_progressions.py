@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import (
+    BudgetExceeded,
     Element,
     FiniteAbelian,
     ProgressionSpec,
@@ -98,6 +99,43 @@ def _weight(term) -> int:
     if isinstance(term, int):
         return 1
     return _weight(term[0]) + _weight(term[1])
+
+
+def _term_key(term):
+    def enc(t):
+        return (0, t) if isinstance(t, int) else (1, enc(t[0]), enc(t[1]))
+
+    return (_weight(term), enc(term))
+
+
+def _hall_basis_plain(rank, step):
+    """The basis by every pair's keys recomputed from the terms."""
+    by_weight = {1: list(range(rank))}
+    for w in range(2, step + 1):
+        fresh = [
+            (u, v)
+            for wu in range(1, w)
+            for u in by_weight[wu]
+            for v in by_weight[w - wu]
+            if _term_key(u) > _term_key(v)
+            and (isinstance(u, int) or _term_key(u[1]) <= _term_key(v))
+        ]
+        by_weight[w] = sorted(fresh, key=_term_key)
+    return [t for level in by_weight.values() for t in level]
+
+
+@pytest.mark.parametrize("rank,step", [(0, 3), (1, 4), (2, 6), (3, 4), (4, 3)])
+def test_hall_basis_matches_plain_loop(rank, step):
+    assert hall_basis(rank, step) == _hall_basis_plain(rank, step)
+
+
+def test_hull_progression_counts_hall_pairs_against_budget():
+    # Step 30 over two generators has about 10^8 candidate pairs; the
+    # count stops the enumeration at the budget.
+    spec = ProgressionSpec((X, Z), (1, 1))
+    with pytest.raises(BudgetExceeded) as ei:
+        hull_progression(spec, step=30, budget=10_000)
+    assert ei.value.op == "hall_basis"
 
 
 def test_term_text():

@@ -166,6 +166,9 @@ def test_cli_bad_input_exit_two(capsys):
     assert "RecipeError" in capsys.readouterr().err
     assert main(["prog", "verify", "ut:3:0", "--gens", "1,0", "--bounds", "1"]) == 2
     assert "FormatError" in capsys.readouterr().err
+    # decompose fixes its oracle rank; the flag is for factorize and reduce
+    assert main(["pipeline", "decompose", "ball", "ut:3:3", "radius=1", "--rank-max", "1"]) == 2
+    assert "FormatError" in capsys.readouterr().err
 
 
 def test_cli_malformed_scenario_file_exit_two(tmp_path, capsys):
@@ -265,10 +268,25 @@ def test_cli_non_integer_op_parameter_exit_two(tmp_path, capsys):
         ({"op": "chain", "gens": "1", "bounds": "1", "step": 0}, "'step'"),
         ({"op": "hom", "kind": "embed", "second": -1}, "'second'"),
         ({"op": "pullback", "m": -1}, "'m'"),
+        ({"op": "pullback", "take": 0}, "'take'"),
+        ({"op": "pullback", "take": -1}, "'take'"),
+        ({"op": "pullback", "c": "0"}, "'c'"),
+        ({"op": "pullback", "c": "-1/2"}, "'c'"),
+        ({"op": "plunnecke", "mmax": 0}, "'mmax'"),
+        ({"op": "plunnecke", "nmax": -1}, "'nmax'"),
+        ({"op": "plunnecke", "limit": 1}, "'limit'"),
+        ({"op": "chang", "c0": "nan"}, "'c0'"),
+        ({"op": "chang", "c0": "inf"}, "'c0'"),
+        ({"op": "chang", "c0": 0}, "'c0'"),
+        ({"op": "chang", "c0": -1}, "'c0'"),
     ):
         assert main(["suite", _scenario_file(tmp_path, [op])]) == 2
         err = capsys.readouterr().err
         assert "FormatError" in err and key in err
+    for c0 in ("nan", "inf", "0", "-1"):
+        assert main(["cover", "chang", "interval", "ab:7", "L=1", "--c0", c0]) == 2
+        err = capsys.readouterr().err
+        assert "FormatError" in err and "'c0'" in err
 
 
 def test_chain_op_and_prog_refuse_mismatched_generators(capsys):
