@@ -118,7 +118,7 @@ def _cmd_prog(args) -> int:
 def _cmd_oracle(args) -> int:
     ops = (
         {"op": "certify"},
-        {"op": "oracle", "rank_max": args.rank_max},
+        {"op": "oracle", **({"rank_max": args.rank_max} if args.rank_max is not None else {})},
         {"op": "sanders"},
     )
     return _scenario_run("oracle", _recipe(args.recipe), ops, args)
@@ -134,11 +134,11 @@ def _cmd_pipeline(args) -> int:
         if args.corollary in ("chang", "both"):
             ops.append({"op": "corollary", "which": "chang"})
     else:
-        rank_max = 3 if args.rank_max is None else args.rank_max
+        rank_max = {} if args.rank_max is None else {"rank_max": args.rank_max}
         if args.action == "factorize":
-            ops = [{"op": "certify"}, {"op": "factorize", "rank_max": rank_max}]
+            ops = [{"op": "certify"}, {"op": "factorize", **rank_max}]
         else:
-            ops = [{"op": "certify"}, {"op": "reduce", "m": args.m, "rank_max": rank_max}]
+            ops = [{"op": "certify"}, {"op": "reduce", "m": args.m, **rank_max}]
     return _scenario_run(f"pipeline-{args.action}", _recipe(args.recipe), tuple(ops), args)
 
 
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="coset-progression search plus Sanders-style cover")
     p.add_argument("recipe", nargs="+")
-    p.add_argument("--rank-max", type=int, default=3, dest="rank_max")
+    p.add_argument("--rank-max", type=int, default=None, dest="rank_max")
     _add_common(p)
     p.set_defaults(fn=_cmd_oracle)
 
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corollary", choices=("ruzsa", "chang", "both", "none"), default="both")
     p.add_argument(
         "--rank-max", type=int, default=None, dest="rank_max",
-        help="oracle rank cap for factorize and reduce (default 3)",
+        help="oracle rank cap for factorize and reduce",
     )
     p.add_argument("--m", type=int, default=1)
     _add_common(p)

@@ -189,9 +189,9 @@ def _least_powers(
     Each power is checked against every open target before the next one is
     built.  A power equal to the one before means the walk has stabilised at
     the subgroup A generates, so a target still open raises
-    ContainmentError(escape).  Without 1 ∈ A the powers can cycle without
-    ever repeating one step to the next, so the walk also stops after
-    `budget` powers with BudgetExceeded(op).
+    ContainmentError(escape).  A walk that has not stabilised by A^64 stops
+    there with BudgetExceeded(op): on an infinite group a target outside ⟨A⟩
+    never stabilises it, and without 1 ∈ A the powers can cycle.
     """
     found = [0] * len(targets)
     walk = powers(A, budget)
@@ -203,8 +203,8 @@ def _least_powers(
                 found[i] = k
         if all(found):
             return found
-        if k >= budget:
-            raise BudgetExceeded(op, k + 1, budget)
+        if k == 64:
+            raise BudgetExceeded(op, k + 1, k)
         nxt = next(walk)
         if nxt.members == cur.members:
             raise ContainmentError(escape)

@@ -180,7 +180,7 @@ def _one_of(*choices):
 
 
 _RECIPE = (_text, _REQUIRED)
-_RANK_MAX = (int, 3)
+_RANK_MAX = (_int_from(0), 3)
 
 # op name -> {parameter: (converter, default)}.  Defaults are not converted;
 # keys not listed pass through.

@@ -383,7 +383,24 @@ def test_containment_radius_reports_escape_after_stabilisation():
     with pytest.raises(ContainmentError, match="target escapes the subgroup generated by the progression"):
         containment_exponent(one, ProgressionSpec((Element(Z12, (4,)),), (1,)))
     # Without 1 the powers {4}, {8}, {0}, {4}, ... cycle and never repeat
-    # one step to the next: the walk stops at the budget instead.
+    # one step to the next: the walk stops at A^64 instead.
     with pytest.raises(BudgetExceeded) as ei:
-        containment_radius(one, GSet(Z12, [(4,)], _reduced=True), budget=50)
-    assert ei.value.op == "containment_radius"
+        containment_radius(one, GSet(Z12, [(4,)], _reduced=True))
+    assert (ei.value.op, ei.value.budget) == ("containment_radius", 64)
+
+
+def test_radius_walks_stop_at_power_64_when_target_escapes_on_infinite_group():
+    # In Z the powers of {-2, 0, 2} grow by two elements a step and never
+    # stabilise, so no per-step budget check fires; each walk stops at A^64.
+    Z = parse_group("ab:0")
+    A = GSet(Z, [(-2,), (0,), (2,)], _reduced=True)
+    one = GSet(Z, [(1,)], _reduced=True)
+    cases = [
+        ("containment_radius", lambda: containment_radius(one, A)),
+        ("word_radius_bound", lambda: word_radius_bound(ProgressionSpec((Element(Z, (1,)),), (1,)), A)),
+        ("containment_exponent", lambda: containment_exponent(one, ProgressionSpec((Element(Z, (2,)),), (1,)))),
+    ]
+    for op, run in cases:
+        with pytest.raises(BudgetExceeded) as ei:
+            run()
+        assert (ei.value.op, ei.value.budget) == (op, 64)

@@ -186,6 +186,14 @@ def test_corollary_covers_mod3():
     assert rz.verified and len(rz.X) == 1 and rz.rank == 6
     ch = corollary_covers(dec, cert, "chang")
     assert ch.verified and ch.t == 1 and list(ch.stage_sizes) == [1] and ch.rank == 7
+    # Both branches build X·H before the witness scan, so the scan, streamed
+    # or not, needs a budget of at least |X|·|H| (here 1·27).
+    assert len(dec.H.elements) == 27
+    for which in ("ruzsa", "chang"):
+        with pytest.raises(BudgetExceeded) as ei:
+            corollary_covers(dec, cert, which, budget=26)
+        assert ei.value.op == "product"
+        assert corollary_covers(dec, cert, which, budget=27).verified
 
 
 def test_decompose_respects_config_budget():

@@ -169,6 +169,8 @@ def test_cli_bad_input_exit_two(capsys):
     # decompose fixes its oracle rank; the flag is for factorize and reduce
     assert main(["pipeline", "decompose", "ball", "ut:3:3", "radius=1", "--rank-max", "1"]) == 2
     assert "FormatError" in capsys.readouterr().err
+    assert main(["oracle", "interval", "ab:101", "L=10", "--rank-max", "-1"]) == 2
+    assert "FormatError" in capsys.readouterr().err
 
 
 def test_cli_malformed_scenario_file_exit_two(tmp_path, capsys):
