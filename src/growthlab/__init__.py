@@ -23,7 +23,6 @@ from .approx import (
     is_centred_triple_hom,
     predicate_slice_certificate,
     slicing_cover,
-    subgroup_slice_certificate,
     sumset_growth_table,
 )
 from .config import DEFAULT_BUDGET, resolve_budget
@@ -124,7 +123,6 @@ from .subgroups import (
     preimage_subgroup,
     quotient_project,
     span,
-    step_of,
     step_of_generated,
 )
 from .textio import format_group, parse_group

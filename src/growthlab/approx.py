@@ -12,8 +12,7 @@ from fractions import Fraction
 from .config import resolve_budget
 from .errors import (BudgetExceeded, CertificateError, CosetCountExceeded,
                      NotAbelian, ParentMismatch)
-from .groups import Element
-from .gset import GSet, inverse_set, power, product
+from .gset import GSet, inverse_set, power, power_chain, product
 from .subgroups import SubgroupHandle
 
 
@@ -104,15 +103,16 @@ class GrowthRow:
 
 
 def growth_law(cert: ApproxCertificate, max_power: int, budget: int | None = None) -> list[GrowthRow]:
-    """Exact |A^m| against K^{m-1}|A| for m up to max_power."""
-    budget = resolve_budget(budget)
+    """Exact |A^m| against K^{m-1}|A| for m up to max_power.
+
+    The powers come from one power walk, which multiplies only the newest
+    layer of each power by A (1 ∈ A); the budget guards those pairs and
+    each power's size.
+    """
     A = cert.aset
     K = cert.K_upper
     rows = []
-    cur = A
-    for m in range(1, max_power + 1):
-        if m > 1:
-            cur = product(cur, A, budget)
+    for m, cur in enumerate(power_chain(A, max_power, budget), start=1):
         bound = K ** (m - 1) * len(A)
         rows.append(GrowthRow(m, len(cur), bound, len(cur) <= bound))
     return rows
@@ -246,18 +246,6 @@ def _slice_certificate(
     return certify(slice_set, C, budget)
 
 
-def subgroup_slice_certificate(
-    cert: ApproxCertificate,
-    H: SubgroupHandle,
-    budget: int | None = None,
-) -> ApproxCertificate:
-    """predicate_slice_certificate against an enumerated subgroup."""
-    if H.parent != cert.aset.parent:
-        raise ParentMismatch("subgroup lives elsewhere")
-    members = H.elements.members
-    return predicate_slice_certificate(cert, lambda c: c in members, budget)
-
-
 # --------------------------------------------------------------------------
 # Fibre pigeonhole
 # --------------------------------------------------------------------------
@@ -376,12 +364,6 @@ class PartialMap:
 
     def mapping(self) -> dict:
         return dict(self.table)
-
-    def apply(self, e: Element) -> Element:
-        m = dict(self.table)
-        if e.coords not in m:
-            raise KeyError("element outside the domain of the map")
-        return Element(self.codomain, m[e.coords])
 
     def image_set(self) -> GSet:
         return GSet(self.codomain, (img for _, img in self.table), _reduced=True)

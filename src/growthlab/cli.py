@@ -21,7 +21,7 @@ from .errors import FormatError, GrowthLabError
 from .gset import GSet
 from .progressions import ProgressionSpec, ordered_progression
 from .recipes import generate_example
-from .scenarios import SUITES, Report, Scenario, run_scenario, run_suite
+from .scenarios import SUITES, Report, Scenario, run_scenario, run_scenarios, run_suite
 from .textio import (
     dumps_csv,
     dumps_json,
@@ -30,6 +30,35 @@ from .textio import (
     set_to_obj,
     write_text,
 )
+
+
+# The flags each action of a command reads.  Giving one of the command's
+# other flags is a FormatError: it would be silently ignored.
+_ACTION_FLAGS = {
+    "cover": {"ruzsa": {"by"}, "chang": {"m", "b_size", "c0", "seed"}},
+    "prog": {"build": set(), "verify": {"step"}},
+    "pipeline": {
+        "decompose": {"corollary"},
+        "factorize": {"rank_max"},
+        "reduce": {"m", "rank_max"},
+    },
+}
+
+
+def _check_flags(args) -> None:
+    actions = _ACTION_FLAGS.get(args.command)
+    if actions is None:
+        return
+    for flag in sorted(set().union(*actions.values()) - actions[args.action]):
+        if getattr(args, flag) is not None:
+            raise FormatError(
+                f"--{flag.replace('_', '-')} does not apply to {args.command} {args.action}"
+            )
+
+
+def _given(**params) -> dict:
+    """The op parameters given as flags; the op's own defaults fill in the rest."""
+    return {k: v for k, v in params.items() if v is not None}
 
 
 def _recipe(tokens: list[str]) -> str:
@@ -63,7 +92,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    return _scenario_run("stats", _recipe(args.recipe), ({"op": "stats", "n": args.n},), args)
+    ops = ({"op": "stats", **_given(n=args.n)},)
+    return _scenario_run("stats", _recipe(args.recipe), ops, args)
 
 
 def _cmd_certify(args) -> int:
@@ -71,22 +101,14 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    if args.kind == "ruzsa":
+    if args.action == "ruzsa":
         if not args.by:
             raise GrowthLabError("cover ruzsa needs --by with a recipe for B")
         ops = ({"op": "ruzsa", "b": _recipe(args.by)},)
     else:
-        ops = (
-            {"op": "certify"},
-            {
-                "op": "chang",
-                "m": args.m,
-                "b_size": args.b_size,
-                "b_seed": args.seed,
-                "c0": args.c0,
-            },
-        )
-    return _scenario_run(f"cover-{args.kind}", _recipe(args.recipe), ops, args)
+        params = _given(m=args.m, b_size=args.b_size, b_seed=args.seed, c0=args.c0)
+        ops = ({"op": "certify"}, {"op": "chang", **params})
+    return _scenario_run(f"cover-{args.action}", _recipe(args.recipe), ops, args)
 
 
 def _prog_spec(args) -> ProgressionSpec:
@@ -104,21 +126,14 @@ def _cmd_prog(args) -> int:
     if args.action == "build":
         P = ordered_progression(spec, resolve_budget(args.budget))
         return _emit_set(P, args)
-    ops = (
-        {
-            "op": "chain",
-            "gens": args.gens,
-            "bounds": args.bounds,
-            **({"step": args.step} if args.step is not None else {}),
-        },
-    )
+    ops = ({"op": "chain", "gens": args.gens, "bounds": args.bounds, **_given(step=args.step)},)
     return _scenario_run("prog-verify", f"ball {args.group} radius=0", ops, args)
 
 
 def _cmd_oracle(args) -> int:
     ops = (
         {"op": "certify"},
-        {"op": "oracle", **({"rank_max": args.rank_max} if args.rank_max is not None else {})},
+        {"op": "oracle", **_given(rank_max=args.rank_max)},
         {"op": "sanders"},
     )
     return _scenario_run("oracle", _recipe(args.recipe), ops, args)
@@ -126,19 +141,16 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     if args.action == "decompose":
-        if args.rank_max is not None:
-            raise FormatError("--rank-max applies to factorize and reduce, not decompose")
+        corollary = args.corollary or "both"
         ops = [{"op": "certify"}, {"op": "decompose"}]
-        if args.corollary in ("ruzsa", "both"):
+        if corollary in ("ruzsa", "both"):
             ops.append({"op": "corollary", "which": "ruzsa"})
-        if args.corollary in ("chang", "both"):
+        if corollary in ("chang", "both"):
             ops.append({"op": "corollary", "which": "chang"})
+    elif args.action == "factorize":
+        ops = [{"op": "certify"}, {"op": "factorize", **_given(rank_max=args.rank_max)}]
     else:
-        rank_max = {} if args.rank_max is None else {"rank_max": args.rank_max}
-        if args.action == "factorize":
-            ops = [{"op": "certify"}, {"op": "factorize", **rank_max}]
-        else:
-            ops = [{"op": "certify"}, {"op": "reduce", "m": args.m, **rank_max}]
+        ops = [{"op": "certify"}, {"op": "reduce", **_given(m=args.m, rank_max=args.rank_max)}]
     return _scenario_run(f"pipeline-{args.action}", _recipe(args.recipe), tuple(ops), args)
 
 
@@ -153,20 +165,17 @@ def _load_scenarios(path: str) -> list[Scenario]:
 
 
 def _cmd_suite(args) -> int:
-    if args.jobs < 1:
-        raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
     if args.name in SUITES:
-        report = run_suite(args.name, jobs=args.jobs, budget=args.budget)
-        return _emit_report(report, args)
-    if os.path.exists(args.name):
-        merged = Report(os.path.basename(args.name))
-        for s in _load_scenarios(args.name):
-            merged.records.extend(run_scenario(s, args.budget).records)
-        return _emit_report(merged, args)
-    raise GrowthLabError(
-        f"no builtin suite or scenario file {args.name!r} "
-        f"(builtins: {', '.join(sorted(SUITES))})"
-    )
+        report = run_suite(args.name, args.jobs, args.budget)
+    elif os.path.exists(args.name):
+        scenarios = _load_scenarios(args.name)
+        report = run_scenarios(os.path.basename(args.name), scenarios, args.jobs, args.budget)
+    else:
+        raise GrowthLabError(
+            f"no builtin suite or scenario file {args.name!r} "
+            f"(builtins: {', '.join(sorted(SUITES))})"
+        )
+    return _emit_report(report, args)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -189,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="growth sizes and doubling/tripling ratios")
     p.add_argument("recipe", nargs="+")
-    p.add_argument("-n", type=int, default=3, help="highest power to size")
+    p.add_argument("-n", type=int, default=None, help="highest power to size")
     _add_common(p)
     p.set_defaults(fn=_cmd_stats)
 
@@ -199,13 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("cover", help="covering constructions")
-    p.add_argument("kind", choices=("ruzsa", "chang"))
+    p.add_argument("action", choices=("ruzsa", "chang"))
     p.add_argument("recipe", nargs="+", help="the set A to cover")
     p.add_argument("--by", nargs="+", default=None, help="recipe for B (ruzsa)")
-    p.add_argument("--m", type=int, default=2, help="B is sampled inside A^m (chang)")
-    p.add_argument("--b-size", type=int, default=3, dest="b_size")
-    p.add_argument("--c0", type=float, default=8.0)
-    p.add_argument("--seed", type=int, default=0, help="sampling seed for B (chang)")
+    p.add_argument("--m", type=int, default=None, help="B is sampled inside A^m (chang)")
+    p.add_argument("--b-size", type=int, default=None, dest="b_size")
+    p.add_argument("--c0", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None, help="sampling seed for B (chang)")
     _add_common(p)
     p.set_defaults(fn=_cmd_cover)
 
@@ -214,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group", help="group descriptor, e.g. ut:3:0")
     p.add_argument("--gens", required=True, help="generators, e.g. 1,0,0|0,0,1")
     p.add_argument("--bounds", required=True, help="e.g. 1,1")
-    p.add_argument("--step", type=int, default=None, help="override the nilpotency step")
+    p.add_argument("--step", type=int, default=None, help="override the nilpotency step (verify)")
     _add_common(p)
     p.set_defaults(fn=_cmd_prog)
 
@@ -227,12 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="step-reduction decomposition machinery")
     p.add_argument("action", choices=("decompose", "factorize", "reduce"))
     p.add_argument("recipe", nargs="+")
-    p.add_argument("--corollary", choices=("ruzsa", "chang", "both", "none"), default="both")
+    p.add_argument(
+        "--corollary", choices=("ruzsa", "chang", "both", "none"), default=None,
+        help="covers to derive after decompose (default both)",
+    )
     p.add_argument(
         "--rank-max", type=int, default=None, dest="rank_max",
         help="oracle rank cap for factorize and reduce",
     )
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=int, default=None)
     _add_common(p)
     p.set_defaults(fn=_cmd_pipeline)
 
@@ -248,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except GrowthLabError as e:
         where = ""

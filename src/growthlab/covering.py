@@ -57,7 +57,7 @@ def verify_translate_cover(A: GSet, X: GSet, B: GSet, budget: int, op: str) -> N
 
     Small instances are checked by materialising the cover product.  When
     that product would exceed the budget, the same containment is decided
-    element by element trough the witness equivalence
+    element by element through the witness equivalence
     a ∈ x·B·B^{-1}  ⇔  (x^{-1}a)·B ∩ B ≠ ∅, scanning B with early exit.
     """
     est = len(X) * len(B)
@@ -121,7 +121,7 @@ def ruzsa_cover(A: GSet, B: GSet, budget: int | None = None) -> RuzsaCover:
 
 @dataclass(frozen=True)
 class ChangCover:
-    """Iterated-hull cover: stages S_1..S_t with the final hull T_t.
+    """Iterated-hull cover: stages S_1..S_t and the sizes of their hulls.
 
     Non-terminal stages are truncated to exactly 2K disjoint translates so
     each hull is exactly 2K times larger, forcing termination in
@@ -131,10 +131,7 @@ class ChangCover:
 
     stages: tuple[GSet, ...]
     hull_sizes: tuple[int, ...]
-    final_hull: GSet
-    C: Fraction
     t_bound: int
-    arrangement: str
     verified: bool = True
 
     @property
@@ -177,8 +174,7 @@ def chang_cover(
     if not assume_in_power and not B <= power(A, m, budget):
         raise CertificateError("B is not inside the declared power of A")
     K = cert.K_upper
-    C = Fraction(len(A), len(B))
-    t_bound = chang_t_bound(C, m, K, c0)
+    t_bound = chang_t_bound(Fraction(len(A), len(B)), m, K, c0)
     cap = 2 * K
     stages: list[GSet] = []
     hull_sizes: list[int] = []
@@ -200,11 +196,4 @@ def chang_cover(
             f"stage count {len(stages)} exceeded its guarantee ({t_bound}); this indicates a bug"
         )
     verify_translate_cover(A, stages[-1], T, budget, "chang cover verification")
-    return ChangCover(
-        stages=tuple(stages),
-        hull_sizes=tuple(hull_sizes),
-        final_hull=T,
-        C=C,
-        t_bound=t_bound,
-        arrangement="A <= S_t . T_t . T_t^-1 with T_t = S_{t-1} ... S_1 . B",
-    )
+    return ChangCover(tuple(stages), tuple(hull_sizes), t_bound)

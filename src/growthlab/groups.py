@@ -8,6 +8,7 @@ hashing and ordering trivial.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -140,13 +141,7 @@ class FiniteAbelian(GroupDescriptor):
     def iter_coords(self):
         if not self.is_finite():
             raise ValueError("cannot enumerate an infinite group")
-        def rec(i, prefix):
-            if i == len(self.moduli):
-                yield prefix
-                return
-            for c in range(self.moduli[i]):
-                yield from rec(i + 1, prefix + (c,))
-        yield from rec(0, ())
+        return itertools.product(*(range(m) for m in self.moduli))
 
     def generator_coords(self):
         out = []
@@ -279,13 +274,7 @@ class Unitriangular(GroupDescriptor):
     def iter_coords(self):
         if self.modulus == 0:
             raise ValueError("cannot enumerate an infinite group")
-        def rec(k, prefix):
-            if k == self.arity:
-                yield prefix
-                return
-            for c in range(self.modulus):
-                yield from rec(k + 1, prefix + (c,))
-        yield from rec(0, ())
+        return itertools.product(range(self.modulus), repeat=self.arity)
 
     def generator_coords(self):
         # Superdiagonal elementary matrices generate the whole group.
@@ -330,16 +319,13 @@ class DirectProduct(GroupDescriptor):
     def structural_step(self) -> int:
         return max(f.structural_step for f in self.factors)
 
-    def _split(self, coords):
-        for f, off in zip(self.factors, self.offsets):
-            yield f, coords[off:off + f.arity]
-
     def reduce(self, coords):
         if len(coords) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates")
+        coords = tuple(coords)
         out: tuple[int, ...] = ()
-        for f, part in self._split(tuple(coords)):
-            out += f.reduce(part)
+        for f, s in self._slices:
+            out += f.reduce(coords[s])
         return out
 
     @cached_property
@@ -382,13 +368,8 @@ class DirectProduct(GroupDescriptor):
     def iter_coords(self):
         if not self.is_finite():
             raise ValueError("cannot enumerate an infinite group")
-        def rec(i, prefix):
-            if i == len(self.factors):
-                yield prefix
-                return
-            for part in self.factors[i].iter_coords():
-                yield from rec(i + 1, prefix + part)
-        yield from rec(0, ())
+        parts = itertools.product(*(f.iter_coords() for f in self.factors))
+        return (sum(p, ()) for p in parts)
 
     def generator_coords(self):
         out = []
@@ -418,19 +399,6 @@ class Element:
 
     def inv(self) -> "Element":
         return Element(self.parent, self.parent.inv(self.coords))
-
-    def __pow__(self, k: int) -> "Element":
-        p = self.parent
-        if k < 0:
-            return self.inv() ** (-k)
-        acc = p.identity_coords()
-        base = self.coords
-        while k:
-            if k & 1:
-                acc = p.mul(acc, base)
-            base = p.mul(base, base)
-            k >>= 1
-        return Element(p, acc)
 
     def is_identity(self) -> bool:
         return self.coords == self.parent.identity_coords()

@@ -84,23 +84,12 @@ class GSet:
         if self.parent != other.parent:
             raise ParentMismatch("sets live in different parents")
 
-    def union(self, other: "GSet") -> "GSet":
-        self._check(other)
-        return GSet(self.parent, self.members | other.members, _reduced=True)
-
     def intersection(self, other: "GSet") -> "GSet":
         self._check(other)
         return GSet(self.parent, self.members & other.members, _reduced=True)
 
-    def difference(self, other: "GSet") -> "GSet":
-        self._check(other)
-        return GSet(self.parent, self.members - other.members, _reduced=True)
-
     def filter(self, pred) -> "GSet":
         return GSet(self.parent, (c for c in self.members if pred(c)), _reduced=True)
-
-    def __mul__(self, other: "GSet") -> "GSet":
-        return product(self, other)
 
     def __repr__(self):
         return f"GSet(|{len(self.members)}| over {self.parent!r})"
@@ -240,12 +229,6 @@ class GrowthStats:
     sizes: tuple[int, ...]
     doubling: Fraction | None
     tripling: Fraction | None
-
-    def csv_rows(self) -> list[tuple]:
-        rows = [("m", "size_m", "ratio_m")]
-        for m, s in enumerate(self.sizes, start=1):
-            rows.append((m, s, str(Fraction(s, self.sizes[0]))))
-        return rows
 
 
 def growth_stats(A: GSet, n: int, budget: int | None = None) -> GrowthStats:

@@ -285,8 +285,6 @@ class SandersCover:
     cover: RuzsaCover
     doubled: GSet
     ratio: Fraction
-    K: Fraction
-    size_bound: Fraction
 
     @property
     def X(self) -> GSet:
@@ -319,8 +317,7 @@ def derive_sanders_cover(
         raise CertificateError("doubled progression failed to absorb the difference")
     if K is None:
         K = Fraction(len(product(A, A, budget)), len(A))
-    size_bound = K ** 8 * len(A)
-    if len(doubled) > size_bound:
+    if len(doubled) > K ** 8 * len(A):
         raise CertificateError("doubled hull exceeds the eightfold-growth bound")
     ratio = Fraction(rc.product_size, len(hull))
-    return SandersCover(cover=rc, doubled=doubled, ratio=ratio, K=K, size_bound=size_bound)
+    return SandersCover(cover=rc, doubled=doubled, ratio=ratio)

@@ -74,11 +74,8 @@ class Projection:
             raise ParentMismatch("set lives outside the projection domain")
         return GSet(self.codomain, (self._fn(c) for c in A.members))
 
-    def section_coords(self, coords) -> tuple:
-        return self.domain.reduce(self._section(tuple(coords)))
-
     def section_element(self, coords) -> Element:
-        return Element(self.domain, self.section_coords(coords))
+        return Element(self.domain, self.domain.reduce(self._section(tuple(coords))))
 
 
 def _unitriangular_abelianization(parent: Unitriangular) -> Projection:
@@ -147,9 +144,7 @@ def _view_abelianization(parent: QuotientView) -> Projection:
         codomain = inner.codomain
         fn = inner._fn
     else:
-        K_handle = SubgroupHandle(
-            inner.codomain, K_image, is_normal=True, normal_gens=frozenset()
-        )
+        K_handle = SubgroupHandle(inner.codomain, K_image, is_normal=True)
         codomain = QuotientView(inner.codomain, K_handle)
 
         def fn(c, _inner=inner._fn, _q=codomain):
@@ -318,8 +313,6 @@ class PullbackReport:
 
     size: int
     lower_bound: Fraction
-    m: int
-    c: Fraction
     verified: bool
 
 
@@ -347,7 +340,7 @@ def pullback_check(
     bound = c * len(A)
     if len(hits) < bound:
         raise ContainmentError("pullback fell below c|A|")
-    return PullbackReport(len(hits), bound, m, c, True)
+    return PullbackReport(len(hits), bound, True)
 
 
 # --------------------------------------------------------------------------
@@ -375,24 +368,22 @@ def abelian_factorization(
     cert: ApproxCertificate,
     rank_max: int = 3,
     budget: int | None = None,
-    with_product: bool = True,
 ) -> Factorization:
     """Split A into a subgroup fibre and cyclic fibres over its image.
 
     Runs the abelian oracle on the commutator-quotient image of A, then
     takes H_part = A¹⁸ ∩ π⁻¹(H) and one A²⁴ ∩ π⁻¹(⟨x_i⟩) per progression
-    generator.  With `with_product` the exact product of the parts and its
-    density against |A| are recorded (skip on infinite backends, where the
-    product blows the pair budget while the fibres themselves stay finite).
+    generator.  On a finite backend the exact product of the parts and its
+    density against |A| are recorded; on an infinite one they stay None,
+    because the product blows the pair budget while the fibres themselves
+    stay finite.
     """
     budget = resolve_budget(budget)
     step = step_of_generated(list(cert.aset.elements()), budget)
-    return _factorize(cert, rank_max, budget, with_product, step)[0]
+    return _factorize(cert, rank_max, budget, step)[0]
 
 
-def _factorize(
-    cert: ApproxCertificate, rank_max: int, budget: int, with_product: bool, step: int
-):
+def _factorize(cert: ApproxCertificate, rank_max: int, budget: int, step: int):
     """abelian_factorization of a set whose step is known.
 
     Also returns the power chain [A, ..., A²⁴] and one fibre predicate per
@@ -418,7 +409,7 @@ def _factorize(
     H_part = A18.filter(fibres[0])
     parts = [A24.filter(f) for f in fibres[1:]]
     product_size = density = None
-    if with_product:
+    if A.parent.is_finite():
         prod = H_part
         for part in parts:
             prod = product(prod, part, budget)
@@ -442,7 +433,6 @@ class StepReduction:
     factors: tuple[ApproxCertificate, ...]
     step_drop_verified: bool
     step_in: int
-    factorization: Factorization | None
     reduced_parent: object | None  # None: factors already live low enough
     product_size: int
 
@@ -540,18 +530,12 @@ def _reduce_step(
     parent = A_t.parent
     amb_parent = ambient.aset.parent
     is_view = isinstance(parent, QuotientView)
-    trivial_N = SubgroupHandle(
-        parent, GSet.identity_set(parent), (), True, frozenset()
-    )
+    trivial_N = SubgroupHandle(parent, GSet.identity_set(parent), (), True)
     if step <= 1:
-        red = StepReduction(
-            trivial_N, 0, 1, (cert,), True, step, None, None, len(A_t)
-        )
+        red = StepReduction(trivial_N, 0, 1, (cert,), True, step, None, len(A_t))
         return red, [A_t], [step], A_t
 
-    fac, chain, fibres = _factorize(
-        cert, rank_max, budget, parent.is_finite(), step
-    )
+    fac, chain, fibres = _factorize(cert, rank_max, budget, step)
     proj = fac.projection
     X3 = power(cert.witness, 3, budget)
     factors = [
@@ -602,7 +586,7 @@ def _reduce_step(
         prod = product(prod, f.aset, budget)
     red = StepReduction(
         N, N_radius, len(factors) - 1, tuple(factors), True, step,
-        fac, reduced_parent, len(prod),
+        reduced_parent, len(prod),
     )
     return red, reduced_sets, steps, prod
 
@@ -619,7 +603,6 @@ class Piece:
     members: GSet
     spec: ProgressionSpec | None = None
     chosen: Element | None = None
-    q_members: GSet | None = None
 
 
 @dataclass(frozen=True)
@@ -771,9 +754,7 @@ def _pigeonhole(
                 score = len(shifted if rest is None else product(shifted, rest, budget))
                 if score > best_score:
                     best, best_score = u, score
-        u_el = Element(base, best)
-        q_set = GSet(base, [best, base.identity_coords(), base.inv(best)], _reduced=True)
-        final.append(replace(piece, chosen=u_el, q_members=q_set))
+        final.append(replace(piece, chosen=Element(base, best)))
         left = product(left, GSet(base, [best], _reduced=True), budget)
     return final
 
@@ -818,7 +799,7 @@ def decompose(cert: ApproxCertificate, budget: int | None = None) -> Decompositi
     if gen_pool:
         H = span(gen_pool, budget)
     else:
-        H = SubgroupHandle(parent, GSet.identity_set(parent), (), True, frozenset())
+        H = SubgroupHandle(parent, GSet.identity_set(parent), (), True)
     H = check_normal(H, list(A.elements()), budget)
     if H.is_normal is not True:
         raise ContainmentError("assembled H is not normalised by A")

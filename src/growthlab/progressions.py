@@ -186,7 +186,6 @@ class HullProgression:
     spec: ProgressionSpec
     step: int
     terms: tuple
-    basis_elements: tuple[Element, ...]
     basis_bounds: tuple[int, ...]
     members: GSet
 
@@ -217,7 +216,7 @@ def hull_progression(
         bounds.append(m)
     inner = ProgressionSpec(elems, tuple(bounds))
     members = ordered_progression(inner, budget)
-    return HullProgression(spec, step, tuple(terms), elems, tuple(bounds), members)
+    return HullProgression(spec, step, tuple(terms), tuple(bounds), members)
 
 
 def chain_bound(rank: int, step: int) -> int:
@@ -236,16 +235,6 @@ class ChainCertificate:
     hull_size: int
     kstar: int
     theoretical_bound: int
-
-    def csv_rows(self):
-        yield ("quantity", "value")
-        yield ("rank", self.spec.rank)
-        yield ("step", self.step)
-        yield ("ordered_size", self.ordered_size)
-        yield ("word_size", self.word_size)
-        yield ("hull_size", self.hull_size)
-        yield ("kstar", self.kstar)
-        yield ("theoretical_bound", self.theoretical_bound)
 
 
 def containment_exponent(

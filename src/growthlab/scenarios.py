@@ -470,17 +470,14 @@ def _op_pullback(state, params, budget):
 
 def _op_factorize(state, params, budget):
     cert = _need_cert(state, budget)
-    with_product = state["set"].parent.is_finite()
-    fz = abelian_factorization(
-        cert, params["rank_max"], budget, with_product=with_product
-    )
+    fz = abelian_factorization(cert, params["rank_max"], budget)
     rec = {
         "r": fz.r,
         "h_part_size": len(fz.H_part),
         "part_sizes": [len(p) for p in fz.cyclic_parts],
         "step": fz.step,
     }
-    if with_product:
+    if fz.product_size is not None:
         rec["product_size"] = fz.product_size
         rec["density"] = str(fz.density)
     return rec
@@ -830,7 +827,13 @@ def run_suite(name: str, jobs: int = 1, budget: int | None = None) -> Report:
     """Run one builtin suite; cases are independent and merge in order."""
     if name not in SUITES:
         raise FormatError(f"unknown suite {name!r} (have: {', '.join(sorted(SUITES))})")
-    scenarios = SUITES[name]()
+    return run_scenarios(name, SUITES[name](), jobs, budget)
+
+
+def run_scenarios(
+    name: str, scenarios: list[Scenario], jobs: int = 1, budget: int | None = None
+) -> Report:
+    """Run independent scenarios on up to `jobs` workers; one report, in order."""
     workers = worker_count(jobs, len(scenarios))
     merged = Report(name)
     if workers > 1:

@@ -6,12 +6,11 @@ BudgetExceeded rather than looping.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .config import resolve_budget
 from .errors import BudgetExceeded, NotNilpotent, ParentMismatch
-from .groups import Element, commutator
+from .groups import Element, GroupDescriptor
 from .gset import GSet, product
 
 
@@ -20,15 +19,15 @@ class SubgroupHandle:
     """An enumerated subgroup with an optional normality verdict.
 
     is_normal is a tri-state: True once conjugation-stability has been
-    verified against `normal_gens` (which implies normality in the group
-    those generators generate), False after a failed check, None = unknown.
+    verified against a generating set of conjugators (which implies
+    normality in the group they generate), False after a failed check,
+    None = unknown.
     """
 
     parent: object
     elements: GSet
     generators: tuple[Element, ...] = ()
     is_normal: bool | None = None
-    normal_gens: frozenset = frozenset()
 
     def order(self) -> int:
         return len(self.elements)
@@ -138,25 +137,20 @@ def normal_closure(H, conj_gens, budget: int | None = None) -> SubgroupHandle:
         GSet(parent, members, _reduced=True),
         generators=tuple(sorted(pool)),
         is_normal=True,
-        normal_gens=frozenset(g.coords for g in conj),
     )
 
 
 def derived_subgroup(G_gens, budget: int | None = None) -> SubgroupHandle:
     """[G, G] for G = <gens>: normal closure of the generator commutators."""
+    budget = resolve_budget(budget)
     gens = _gen_list(G_gens)
     if not gens:
         raise ValueError("derived_subgroup of nothing")
     parent = gens[0].parent
-    comms = {commutator(a, b) for a, b in itertools.product(gens, repeat=2)}
-    comms = [c for c in comms if not c.is_identity()]
+    comms = _commutator_levels(parent, gens, 2, budget, "derived_subgroup")[1]
     if not comms:
-        triv = SubgroupHandle(
-            parent, GSet.identity_set(parent),
-            is_normal=True, normal_gens=frozenset(g.coords for g in gens),
-        )
-        return triv
-    return normal_closure(comms, gens, budget)
+        return SubgroupHandle(parent, GSet.identity_set(parent), is_normal=True)
+    return normal_closure([Element(parent, c) for c in comms], gens, budget)
 
 
 def check_normal(H: SubgroupHandle, conj_gens, budget: int | None = None) -> SubgroupHandle:
@@ -170,43 +164,14 @@ def check_normal(H: SubgroupHandle, conj_gens, budget: int | None = None) -> Sub
         members.issuperset(right_row(left_row(g.coords, members), inv(g.coords)))
         for g in gens
     )
-    return SubgroupHandle(
-        parent, H.elements, H.generators,
-        is_normal=ok, normal_gens=frozenset(g.coords for g in gens),
-    )
-
-
-def _lcs_next(cur: SubgroupHandle, H: SubgroupHandle, budget: int) -> SubgroupHandle:
-    # [cur, H] = normal closure in H of commutators of the two generating sets.
-    parent = cur.parent
-    comms = set()
-    for x in cur.gen_elements():
-        for y in H.gen_elements():
-            c = commutator(x, y)
-            if not c.is_identity():
-                comms.add(c)
-    if not comms:
-        return SubgroupHandle(parent, GSet.identity_set(parent))
-    return normal_closure(sorted(comms), H.gen_elements(), budget)
-
-
-def step_of(H: SubgroupHandle, budget: int | None = None) -> int:
-    """Exact nilpotency step via the lower central series; trivial group has step 0."""
-    budget = resolve_budget(budget)
-    if H.is_trivial():
-        return 0
-    limit = getattr(H.parent, "structural_step", None) or 1
-    cur = H
-    for i in range(1, limit + 2):
-        nxt = _lcs_next(cur, H, budget)
-        if nxt.is_trivial():
-            return i
-        cur = nxt
-    raise NotNilpotent(f"series did not terminate within step {limit}")
+    return SubgroupHandle(parent, H.elements, H.generators, is_normal=ok)
 
 
 def _commutator_levels(parent, gens, depth: int, budget: int, op: str) -> list[set]:
     """Deduplicated left-normed commutator levels L_1, ..., L_depth.
+
+    The one commutator builder: the step, [G, G] and the step-reduction
+    commutators all read their levels from here.
 
     L_1 holds the generators other than 1 and L_{t+1} = {[c, g] ≠ 1 : c ∈ L_t,
     g ∈ L_1} with [c, g] = c⁻¹g⁻¹cg.  Each inverse is computed once; a level
@@ -256,7 +221,7 @@ def step_of_generated(gens, budget: int | None = None) -> int:
     return step
 
 
-class QuotientView:
+class QuotientView(GroupDescriptor):
     """G/K presented on canonical coset representatives.
 
     Wraps a base descriptor and a finite kernel subgroup; every coset is
@@ -326,13 +291,10 @@ class QuotientView:
     def is_abelian(self):
         if self.base.is_abelian():
             return True
-        ident = self.identity_coords()
-        gens = self.generator_coords()
-        for a, b in itertools.combinations(gens, 2):
-            x, y = Element(self, a), Element(self, b)
-            if commutator(x, y).coords != ident:
-                return False
-        return True
+        levels = _commutator_levels(
+            self, self.generators(), 2, resolve_budget(None), "is_abelian"
+        )
+        return not levels[1]
 
     def is_finite(self):
         return self.base.is_finite()
@@ -360,12 +322,6 @@ class QuotientView:
                 seen.add(r)
                 out.append(r)
         return out
-
-    def identity(self):
-        return Element(self, self.identity_coords())
-
-    def element(self, coords):
-        return Element(self, self.reduce(tuple(coords)))
 
     # --- equality ---------------------------------------------------------
     def __eq__(self, other):

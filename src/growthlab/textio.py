@@ -125,15 +125,6 @@ def set_to_obj(A: GSet) -> dict:
     }
 
 
-def set_from_obj(obj: dict) -> GSet:
-    try:
-        parent = parse_group(obj["group"])
-        members = [tuple(int(x) for x in row) for row in obj["members"]]
-    except (KeyError, TypeError, ValueError):
-        raise FormatError("set object needs 'group' and 'members'")
-    return GSet(parent, members)
-
-
 def dumps_json(obj) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, newline end."""
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

@@ -3,11 +3,14 @@
 `span` grows a subgroup coset by coset, `normal_closure` conjugates only the
 generators it adjoined, the step reduction enumerates each cyclic subgroup
 once per generator (or, where a free coordinate pins the exponent, tests a
-ratio), and `powers` multiplies only the newest layer of a power chain.  The
-functions under "Reference loops" are the plain versions they replaced (for
-cyclic membership also a search over every exponent that can work);
-hypothesis pins each fast path to them.
+ratio), and `powers` multiplies only the newest layer of a power chain.
+`derived_subgroup`, `QuotientView.is_abelian` and the step take their
+commutators from the one level builder, `iter_coords` is `itertools.product`
+and `growth_law` reads the power walk.  The functions under "Reference loops"
+are the plain versions they replaced (for cyclic membership also a search
+over every exponent that can work); hypothesis pins each fast path to them.
 """
+import itertools
 import math
 
 import pytest
@@ -17,14 +20,21 @@ from hypothesis import strategies as st
 from growthlab import (
     BudgetExceeded,
     ContainmentError,
+    DirectProduct,
     Element,
     FiniteAbelian,
+    GrowthRow,
     GSet,
     ProgressionSpec,
     QuotientView,
+    SubgroupHandle,
     Unitriangular,
+    commutator,
     containment_exponent,
     containment_radius,
+    derived_subgroup,
+    greedy_cover_certificate,
+    growth_law,
     in_cyclic,
     normal_closure,
     ordered_progression,
@@ -32,6 +42,8 @@ from growthlab import (
     power_chain,
     product,
     span,
+    step_of_generated,
+    symmetrize,
     word_radius_bound,
 )
 from growthlab.pipeline import _cyclic_membership
@@ -118,6 +130,77 @@ def _power_chain_plain(A, n):
     return chain + [chain[-1]] * (n - len(chain))
 
 
+def _growth_rows_plain(cert, n):
+    """growth_law by chaining whole products A^m = A^{m-1}·A."""
+    A, K = cert.aset, cert.K_upper
+    rows, cur = [], A
+    for m in range(1, n + 1):
+        if m > 1:
+            cur = product(cur, A)
+        bound = K ** (m - 1) * len(A)
+        rows.append(GrowthRow(m, len(cur), bound, len(cur) <= bound))
+    return rows
+
+
+def _derived_pairwise(parent, gens, budget):
+    """[G, G] with the generators of G: every pairwise commutator, then closed."""
+    elems = [Element(parent, c) for c in gens]
+    comms = {commutator(a, b) for a in elems for b in elems}
+    comms = sorted(c for c in comms if not c.is_identity())
+    if not comms:
+        return frozenset({parent.identity_coords()}), ()
+    closed = _normal_closure_loop(parent, [c.coords for c in comms], gens, budget)
+    return closed, tuple(comms)
+
+
+def _is_abelian_pairs(q):
+    """QuotientView.is_abelian as a loop over pairs of its generators."""
+    ident = q.identity_coords()
+    gens = [Element(q, c) for c in q.generator_coords()]
+    return all(commutator(x, y).coords == ident for x, y in itertools.combinations(gens, 2))
+
+
+def _lcs_next(cur, H, budget):
+    # [cur, H] = normal closure in H of commutators of the two generating sets.
+    parent = cur.parent
+    comms = {commutator(x, y) for x in cur.gen_elements() for y in H.gen_elements()}
+    comms = sorted(c for c in comms if not c.is_identity())
+    if not comms:
+        return SubgroupHandle(parent, GSet.identity_set(parent))
+    return normal_closure(comms, H.gen_elements(), budget)
+
+
+def _step_lcs(H, budget):
+    """Nilpotency step through the lower central series H = γ_1 ⊇ γ_2 ⊇ …"""
+    if H.is_trivial():
+        return 0
+    cur = H
+    for i in range(1, H.parent.structural_step + 2):
+        cur = _lcs_next(cur, H, budget)
+        if cur.is_trivial():
+            return i
+    raise AssertionError("lower central series did not terminate")
+
+
+def _iter_coords_nested(G):
+    """Every element of a finite backend by nested recursion, last coordinate fastest."""
+    if isinstance(G, DirectProduct):
+        rows = [_iter_coords_nested(f) for f in G.factors]
+    elif isinstance(G, FiniteAbelian):
+        rows = [[(c,) for c in range(m)] for m in G.moduli]
+    else:
+        rows = [[(c,) for c in range(G.modulus)]] * G.arity
+
+    def rec(i, prefix):
+        if i == len(rows):
+            yield prefix
+            return
+        for part in rows[i]:
+            yield from rec(i + 1, prefix + part)
+
+    return list(rec(0, ()))
+
+
 # --------------------------------------------------------------------------
 # Groups and element pools
 
@@ -194,7 +277,7 @@ def test_span_matches_bfs(case):
     H = span(elems, _SMALL)
     assert H.elements.members == expected
     assert H.generators == tuple(sorted(elems))
-    assert H.is_normal is None and H.normal_gens == frozenset()
+    assert H.is_normal is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,7 +300,6 @@ def test_normal_closure_matches_whole_set_loop(case, data):
     assert N.elements.members == expected
     assert N.generators == tuple(sorted(elems))
     assert N.is_normal is True
-    assert N.normal_gens == frozenset(conj)
 
 
 def test_normal_closure_conjugates_what_it_adjoined():
@@ -404,3 +486,89 @@ def test_radius_walks_stop_at_power_64_when_target_escapes_on_infinite_group():
         with pytest.raises(BudgetExceeded) as ei:
             run()
         assert (ei.value.op, ei.value.budget) == (op, 64)
+
+
+# --------------------------------------------------------------------------
+# Commutators from the one level builder
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generators())
+def test_derived_subgroup_matches_pairwise_commutators(case):
+    G, gens = case
+    expected = _expect(_derived_pairwise, G, gens, _SMALL)
+    elems = [Element(G, c) for c in gens]
+    if expected is BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            derived_subgroup(elems, _SMALL)
+        return
+    members, comms = expected
+    D = derived_subgroup(elems, _SMALL)
+    assert D.elements.members == members
+    assert D.generators == comms
+    assert D.is_normal is True
+
+
+@st.composite
+def _views(draw):
+    """ut:3:p over its centre or over {1}; ut:4:2 over a drawn normal subgroup."""
+    base = draw(st.sampled_from([U2, U3, Unitriangular(3, 5), Unitriangular(4, 2)]))
+    if base.n == 3:
+        kernel = draw(st.sampled_from([[(0, 1, 0)], [(0, 0, 0)]]))
+    else:
+        kernel = draw(st.lists(st.sampled_from(_POOLS[base]), min_size=1, max_size=2))
+    return _quotient(base, kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_views())
+def test_quotient_is_abelian_matches_generator_pairs(q):
+    assert q.is_abelian() == _is_abelian_pairs(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generators())
+def test_step_of_generated_matches_lower_central_series(case):
+    G, gens = case
+    try:
+        H = span([Element(G, c) for c in gens], _SMALL)
+    except BudgetExceeded:
+        return  # an infinite span: the series needs enumerated terms
+    assert step_of_generated(H.gen_elements(), _SMALL) == _step_lcs(H, _SMALL)
+
+
+_FINITE_BACKENDS = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3).map(lambda ms: FiniteAbelian(tuple(ms))),
+    st.sampled_from([U2, U3, Unitriangular(4, 2), parse_group("prod:(ab:2);(ut:3:3)")]),
+    st.tuples(
+        st.sampled_from([FiniteAbelian((2,)), FiniteAbelian((3, 1)), U2]),
+        st.sampled_from([FiniteAbelian((2, 3)), U2]),
+    ).map(DirectProduct),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FINITE_BACKENDS)
+def test_iter_coords_matches_nested_recursion(G):
+    assert list(G.iter_coords()) == _iter_coords_nested(G)
+
+
+# --------------------------------------------------------------------------
+# The growth law on the power walk
+
+
+@settings(max_examples=100, deadline=None)
+@given(_power_case())
+def test_growth_law_matches_product_chain(case):
+    A, n = case
+    cert = greedy_cover_certificate(symmetrize(A))
+    assert growth_law(cert, n) == _growth_rows_plain(cert, n)
+
+
+def test_growth_law_after_the_powers_stabilise():
+    # {0, ±(0,1), (1,0)} fills Z2 x Z3 at A^2, so A^3..A^5 repeat it.
+    G = FiniteAbelian((2, 3))
+    cert = greedy_cover_certificate(GSet(G, [(0, 0), (1, 0), (0, 1), (0, 2)], _reduced=True))
+    rows = growth_law(cert, 5)
+    assert [r.size for r in rows] == [4, 6, 6, 6, 6]
+    assert rows == _growth_rows_plain(cert, 5)

@@ -88,8 +88,6 @@ def test_growth_stats_values_and_warning():
     assert list(st_.sizes) == [3, 5, 7]
     assert str(st_.doubling) == "5/3"
     assert str(st_.tripling) == "7/3"
-    rows = list(st_.csv_rows())
-    assert rows[0][0] == "m"
     noid = _gs(Z101, [2, 99])
     with pytest.warns(UserWarning):
         growth_stats(noid, 2)

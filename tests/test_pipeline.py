@@ -222,7 +222,7 @@ _SLICE_RECIPES = (
 def test_slices_with_shared_powers_match_predicate_slices(recipe):
     cert = greedy_cover_certificate(generate_example(recipe))
     step = step_of_generated(list(cert.aset.elements()))
-    fac, chain, fibres = _factorize(cert, 2, 10**6, True, step)
+    fac, chain, fibres = _factorize(cert, 2, 10**6, step)
     proj, best = fac.projection, fac.oracle.best
     H = best.H.elements.members
     # The predicates as they were: project each element when asked.

@@ -19,7 +19,6 @@ from growthlab.textio import (
     dumps_json,
     parse_coord_list,
     parse_coords,
-    set_from_obj,
     set_to_obj,
 )
 
@@ -133,8 +132,7 @@ def test_set_obj_round_trip():
     A = generate_example("ball ut:3:0 radius=1")
     obj = set_to_obj(A)
     assert obj["size"] == 5 and obj["group"] == "ut:3:0"
-    back = set_from_obj(obj)
-    assert back == A
+    assert [tuple(m) for m in obj["members"]] == sorted(A.members)
 
 
 def test_dumps_json_deterministic():

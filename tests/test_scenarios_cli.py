@@ -1,7 +1,10 @@
-"""Scenario runner, suite determinism, and the command-line surface."""
+"""Scenario runner, suite determinism, the command-line surface and the scripts."""
 import json
+import os
 import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,7 @@ from growthlab.scenarios import worker_count
 from growthlab.textio import dumps_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_run_scenario_records():
@@ -171,6 +175,18 @@ def test_cli_bad_input_exit_two(capsys):
     assert "FormatError" in capsys.readouterr().err
     assert main(["oracle", "interval", "ab:101", "L=10", "--rank-max", "-1"]) == 2
     assert "FormatError" in capsys.readouterr().err
+    # each action reads only its own flags; any other one is refused
+    prog = ["ut:3:0", "--gens", "1,0,0|0,0,1", "--bounds", "1,1"]
+    by = ["--by", "interval", "ab:101", "L=2"]
+    for argv in (
+        ["prog", "build", *prog, "--step", "5"],
+        ["cover", "ruzsa", "interval", "ab:101", "L=3", *by, "--c0", "nan"],
+        ["cover", "chang", "interval", "ab:101", "L=3", *by],
+        ["pipeline", "factorize", "ball", "ut:3:3", "radius=1", "--corollary", "ruzsa", "--m", "7"],
+        ["pipeline", "decompose", "ball", "ut:3:3", "radius=1", "--m", "7"],
+    ):
+        assert main(argv) == 2
+        assert "FormatError" in capsys.readouterr().err
 
 
 def test_cli_malformed_scenario_file_exit_two(tmp_path, capsys):
@@ -306,6 +322,47 @@ def test_cli_malformed_env_budget_exit_two(monkeypatch, capsys):
     monkeypatch.setenv("GROWTHLAB_BUDGET", "abc")
     assert main(["certify", "interval", "ab:101", "L=10"]) == 2
     assert "FormatError" in capsys.readouterr().err
+
+
+def test_cli_suite_file_runs_on_jobs_workers(tmp_path, capsys, monkeypatch):
+    scen = tmp_path / "two.json"
+    scen.write_text(json.dumps([
+        Scenario("a", "interval ab:101 L=5", ({"op": "certify"},)).to_obj(),
+        Scenario("b", "ball ut:3:3 radius=1", ({"op": "stats", "n": 2},)).to_obj(),
+    ]))
+    asked = []
+    real = scenarios.worker_count
+    monkeypatch.setattr(
+        scenarios, "worker_count", lambda jobs, tasks: asked.append(jobs) or real(jobs, tasks)
+    )
+    assert main(["suite", str(scen), "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(["suite", str(scen), "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert asked == [1, 2]
+    assert main(["suite", str(scen), "--jobs", "0"]) == 2
+    assert "FormatError" in capsys.readouterr().err
+
+
+def test_scripts_run_end_to_end(tmp_path):
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+
+    def script(name, *args):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / name), *args],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    walk = script("decomposition_walkthrough.py", "ball", "ut:3:3", "radius=1")
+    assert walk.returncode == 0, walk.stderr
+    verified = [line.split(":")[0] for line in walk.stdout.splitlines() if "verified=True" in line]
+    assert verified == ["ruzsa-style cover", "chang-style cover"]
+    suites = script("run_suites.py", "--suites", "chain", "--outdir", str(tmp_path))
+    assert suites.returncode == 0, suites.stderr
+    assert suites.stdout.split()[:3] == ["chain", "2", "records"]
+    assert suites.stdout.rstrip().endswith("ok")
+    assert json.loads((tmp_path / "chain.json").read_text())["failed"] == 0
 
 
 def test_cli_jobs_below_one_exit_two(capsys):
