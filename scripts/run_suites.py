@@ -5,7 +5,9 @@ Usage:  python3 scripts/run_suites.py [--jobs N] [--outdir reports]
 
 The heavyweight suites (pipeline, reduction) run the torsion-free
 decomposition, so a full pass takes about a minute; everything else
-finishes in seconds.  A nonzero exit means at least one record failed.
+finishes in seconds.  Exit 1 means at least one record failed; exit 2 means
+bad arguments (an unknown suite, --jobs below 1), refused before anything
+runs or is written.
 """
 import argparse
 import pathlib
@@ -20,8 +22,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--outdir", default="reports")
-    ap.add_argument("--suites", nargs="*", default=sorted(SUITES))
+    ap.add_argument("--suites", nargs="*", choices=sorted(SUITES), default=sorted(SUITES))
     args = ap.parse_args()
+    if args.jobs < 1:
+        ap.error(f"--jobs must be at least 1, got {args.jobs}")
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

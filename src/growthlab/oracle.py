@@ -48,6 +48,38 @@ def difference_body(A: GSet, budget: int | None = None) -> GSet:
     return product(product(A2, neg, budget), neg, budget)
 
 
+def _body_is_subgroup(A: GSet, D: GSet, budget: int) -> bool:
+    """Whether D = 2A−2A is a subgroup, decided exactly (members commute).
+
+    D = S·S with S = A·A⁻¹, and 1 ∈ S, so D is a subgroup iff D·S ⊆ D (then
+    D·D = D·S·S ⊆ D).  The g with D·g ⊆ D form a subgroup, since D is finite
+    and D·g ⊆ D forces D·g = D; and for a fixed a₀ ∈ A, S generates the same
+    subgroup as T = {a₀⁻¹·a : a ∈ A}.  So it is enough that D·t ⊆ D for each
+    t in T, and a t already in K, the subgroup generated by those that
+    passed, needs no row.  With a₀ = 1, taken when 1 ∈ A, T is A itself.
+    The scan stops at the first row that leaves D.  Its rows count against
+    the budget; the joins into K add at most 2|D| products in all.
+    """
+    parent = D.parent
+    ident = parent.identity_coords()
+    right_row = parent.right_row
+    inside = D.members
+    a0_inv = ident if ident in A.members else parent.inv(A.sorted_members()[0])
+    K = frozenset((ident,))
+    pairs = 0
+    for a in A.sorted_members():
+        t = parent.mul(a0_inv, a)
+        if t in K:
+            continue
+        pairs += len(inside)
+        if pairs > budget:
+            raise BudgetExceeded("find_coset_progression", pairs, budget)
+        if not inside.issuperset(right_row(inside, t)):
+            return False
+        K = _join_cyclic(K, t, right_row)
+    return True
+
+
 def subgroups_within(D: GSet, budget: int | None = None) -> list[SubgroupHandle]:
     """Every subgroup of the parent contained in D (members must commute).
 
@@ -55,8 +87,12 @@ def subgroups_within(D: GSet, budget: int | None = None) -> list[SubgroupHandle]
     (escape is guaranteed for infinite order since D is finite), and general
     subgroups arise as joins, which for commuting sets are plain product sets.
     """
-    budget = resolve_budget(budget)
     _require_commuting(D)
+    return _subgroups_within(D, resolve_budget(budget))
+
+
+def _subgroups_within(D: GSet, budget: int) -> list[SubgroupHandle]:
+    """`subgroups_within` for a D whose members are known to commute."""
     parent = D.parent
     ident = parent.identity_coords()
     if ident not in D.members:
@@ -140,6 +176,13 @@ class CosetProgression:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The search's best coset progression inside D = 2A−2A.
+
+    `density` is |best.realized| / |A| and `body_size` is |D|.  `search_log`
+    is a diagnostic: the number of (subgroup, candidate) pairs the search
+    examined, 0 when D is itself a subgroup and is returned without a search.
+    """
+
     best: CosetProgression
     density: Fraction
     search_log: int
@@ -217,6 +260,9 @@ def find_coset_progression(
 ) -> OracleResult:
     """Best coset progression H + P inside 2A - 2A found by greedy search.
 
+    When D = 2A - 2A is itself a subgroup, the answer is H = D at rank 0 and
+    no search runs; an exact scan decides that first.  Otherwise:
+
     For every subgroup of the difference body, generator candidates are
     ranked by the popular-difference count |A ∩ (A+d)| (ties by canonical
     order) and adopted only when they strictly grow the realized set; the
@@ -237,7 +283,12 @@ def find_coset_progression(
     _require_commuting(A)
     parent = A.parent
     D = difference_body(A, budget)
-    subs = subgroups_within(D, budget)
+    if _body_is_subgroup(A, D, budget):
+        # Every realized set lies in D, and under H = D every candidate is in
+        # `stab`, so H = D at rank 0 is the search's unique best key.
+        best = CosetProgression(SubgroupHandle(parent, D), (), (), D, budget)
+        return OracleResult(best, Fraction(len(D), len(A)), search_log=0, body_size=len(D))
+    subs = _subgroups_within(D, budget)
     candidates = _popular_differences(A, D)
     examined = 0
     best = None

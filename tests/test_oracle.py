@@ -1,7 +1,8 @@
 """Coset-progression search in abelian difference bodies, plus the
 derived Sanders-style cover with its Plünnecke size bound.
 
-The search skips candidates whose answer it already knows (stabiliser skip,
+The search returns a difference body that is itself a subgroup without
+searching, skips candidates whose answer it already knows (stabiliser skip,
 frontier growth, nested-join skip, size prefilter on joins), scores every
 difference by counting pairs, and takes 2A-2A of a symmetric set from the
 power walk.  The functions under "Reference search" are the plain loops it
@@ -30,6 +31,7 @@ from growthlab import (
     QuotientView,
     SubgroupHandle,
     Unitriangular,
+    abelianization,
     derived_subgroup,
     inverse_set,
     ordered_progression,
@@ -38,7 +40,7 @@ from growthlab import (
     span,
     symmetrize,
 )
-from growthlab.oracle import _popular_differences, subgroups_within
+from growthlab.oracle import _body_is_subgroup, _popular_differences, subgroups_within
 from growthlab.recipes import generate_example
 
 
@@ -64,6 +66,35 @@ def test_coset_union_oracle_finds_subgroup():
     assert res.best.rank == 0
     assert res.density == Fraction(16, 5)
     assert res.best.realized <= difference_body(A)
+
+
+def test_oracle_returns_a_subgroup_body_without_searching():
+    # ut:3:11 over its centre is Z₁₁²; this set's 2A-2A is all of it.
+    A = generate_example("random-symmetric ut:3:11 size=11 seed=111")
+    Abar = abelianization(A.parent).image(A)
+    D = difference_body(Abar)
+    assert len(D) == 121
+    res = find_coset_progression(Abar, rank_max=3)
+    assert res.best.H.elements == D
+    assert res.best.realized == D
+    assert res.best.rank == 0
+    assert res.search_log == 0
+    assert res.body_size == 121
+    assert res.density == Fraction(121, len(Abar))
+    # Two rows D·t decide it: the first t generates a Z₁₁, the second the rest.
+    assert _body_is_subgroup(Abar, D, 242)
+    with pytest.raises(BudgetExceeded, match="find_coset_progression"):
+        _body_is_subgroup(Abar, D, 241)
+
+
+def test_oracle_searches_a_body_that_is_not_a_subgroup():
+    # In Z no finite set but {0} is a subgroup, so the search runs in full.
+    A = GSet(FiniteAbelian((0,)), [(-2,), (0,), (1,), (2,)])
+    res = find_coset_progression(A, rank_max=2)
+    assert not _body_is_subgroup(A, difference_body(A), 10**6)
+    assert res.search_log == ref_find_coset_progression(A, 2)[5] > 0
+    assert res.best.H.order() == 1
+    assert res.best.rank == 1
 
 
 def test_realized_set_is_reverified():
@@ -227,9 +258,14 @@ def _summary(res):
 
 
 def _assert_matches_reference(A):
+    # A difference body that is a subgroup is returned without a search, so
+    # its search_log is 0; every other field is the plain search's.
+    D = ref_difference_body(A)
+    searched = D.members not in ref_subgroups_within(D)
     for rank_max in (1, 2, 3):
         got = _summary(find_coset_progression(A, rank_max=rank_max))
-        assert got == ref_find_coset_progression(A, rank_max)
+        ref = ref_find_coset_progression(A, rank_max)
+        assert got == ref[:5] + (ref[5] if searched else 0,) + ref[6:]
 
 
 def _subset(pool):
@@ -320,4 +356,6 @@ def test_oracle_shortcuts_match_plain_loops(A, symmetric):
     D = difference_body(A)
     assert D.members == ref_difference_body(A).members
     assert _popular_differences(A, D) == ref_popular_differences(A, D)
-    assert [H.elements.members for H in subgroups_within(D)] == ref_subgroups_within(D)
+    subs = ref_subgroups_within(D)
+    assert [H.elements.members for H in subgroups_within(D)] == subs
+    assert _body_is_subgroup(A, D, 10**6) == (D.members in subs)

@@ -344,25 +344,37 @@ def test_cli_suite_file_runs_on_jobs_workers(tmp_path, capsys, monkeypatch):
     assert "FormatError" in capsys.readouterr().err
 
 
-def test_scripts_run_end_to_end(tmp_path):
+def _script(name, *args):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
 
-    def script(name, *args):
-        return subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / name), *args],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
 
-    walk = script("decomposition_walkthrough.py", "ball", "ut:3:3", "radius=1")
+def test_scripts_run_end_to_end(tmp_path):
+    walk = _script("decomposition_walkthrough.py", "ball", "ut:3:3", "radius=1")
     assert walk.returncode == 0, walk.stderr
     verified = [line.split(":")[0] for line in walk.stdout.splitlines() if "verified=True" in line]
     assert verified == ["ruzsa-style cover", "chang-style cover"]
-    suites = script("run_suites.py", "--suites", "chain", "--outdir", str(tmp_path))
+    suites = _script("run_suites.py", "--suites", "chain", "--outdir", str(tmp_path))
     assert suites.returncode == 0, suites.stderr
     assert suites.stdout.split()[:3] == ["chain", "2", "records"]
     assert suites.stdout.rstrip().endswith("ok")
     assert json.loads((tmp_path / "chain.json").read_text())["failed"] == 0
+
+
+def test_run_suites_refuses_bad_arguments_with_exit_two(tmp_path):
+    outdir = tmp_path / "reports"
+    for args, message in ((["--jobs", "0"], "--jobs must be at least 1, got 0"),
+                          (["--suites", "chain", "nosuch"], "invalid choice: 'nosuch'")):
+        run = _script("run_suites.py", *args, "--outdir", str(outdir))
+        assert run.returncode == 2
+        assert message in run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stdout == ""
+        assert not outdir.exists()
 
 
 def test_cli_jobs_below_one_exit_two(capsys):
