@@ -46,6 +46,8 @@ _ACTION_FLAGS = {
 
 
 def _check_flags(args) -> None:
+    if args.budget is not None and args.budget < 1:
+        raise FormatError(f"--budget must be at least 1, got {args.budget}")
     actions = _ACTION_FLAGS.get(args.command)
     if actions is None:
         return

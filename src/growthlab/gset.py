@@ -18,7 +18,8 @@ from .groups import Element
 class GSet:
     """A finite subset of a group, stored as canonical coordinate tuples."""
 
-    __slots__ = ("parent", "members", "_sorted", "_symmetric")
+    # `_walk` holds the stored layers of `powers` in a finite parent.
+    __slots__ = ("parent", "members", "_sorted", "_symmetric", "_walk")
 
     def __init__(self, parent, members: Iterable[tuple], *, _reduced: bool = False):
         if _reduced:
@@ -29,6 +30,7 @@ class GSet:
         object.__setattr__(self, "members", ms)
         object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_symmetric", None)
+        object.__setattr__(self, "_walk", None)
 
     def __setattr__(self, *a):
         raise AttributeError("GSet is immutable")
@@ -145,29 +147,51 @@ def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
     only the newest layer is multiplied by A.  The budget guards the pairs
     enumerated and the size of each power.  Without 1 the step is the plain
     product A^k·A.  Once A^{k+1} = A^k every later power is that set too.
+
+    In a finite parent the walk is shared: A keeps [(A², pairs), (A³,
+    pairs), ...] and a later walk replays those layers before it extends
+    them.  A replayed layer meets the same two checks as a rebuilt one
+    (its pairs, then its size) and raises the same BudgetExceeded, so the
+    caller's budget decides every outcome exactly as a rebuild would.  In
+    an infinite parent nothing is kept: the powers need not be bounded.
     """
     budget = resolve_budget(budget)
-    cur = A
-    yield cur
-    if not A.contains_identity():
-        while True:
-            cur = product(cur, A, budget)
-            yield cur
+    yield A
+    keep = A.parent.is_finite()
+    if keep and A._walk is None:
+        object.__setattr__(A, "_walk", [])
+    walk = A._walk if keep else []
+    unit = A.contains_identity()
     left_row = A.parent.left_row
-    prev = frozenset((A.parent.identity_coords(),))
+    prev, cur = frozenset((A.parent.identity_coords(),)), A
+    k = 0
     while True:
-        fresh = cur.members - prev
-        pairs = len(fresh) * len(A)
-        if pairs > budget:
-            raise BudgetExceeded("product", pairs, budget)
-        out = set(cur.members)
-        for f in fresh:
-            out.update(left_row(f, A.members))
-        if len(out) > budget:
-            raise BudgetExceeded("product", len(out), budget)
-        prev = cur.members
-        cur = GSet(A.parent, out, _reduced=True)
-        yield cur
+        if k < len(walk):
+            nxt, pairs = walk[k]
+            if pairs > budget:
+                raise BudgetExceeded("product", pairs, budget)
+            if len(nxt) > budget:
+                raise BudgetExceeded("product", len(nxt), budget)
+        else:
+            if unit:
+                fresh = cur.members - prev
+                pairs = len(fresh) * len(A)
+                if pairs > budget:
+                    raise BudgetExceeded("product", pairs, budget)
+                out = set(cur.members)
+                for f in fresh:
+                    out.update(left_row(f, A.members))
+                if len(out) > budget:
+                    raise BudgetExceeded("product", len(out), budget)
+                nxt = GSet(A.parent, out, _reduced=True)
+            else:
+                pairs = len(cur) * len(A)
+                nxt = product(cur, A, budget)
+            if keep:
+                walk.append((nxt, pairs))
+        prev, cur = cur.members, nxt
+        k += 1
+        yield nxt
 
 
 def _least_powers(

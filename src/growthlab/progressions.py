@@ -189,9 +189,6 @@ class HullProgression:
     basis_bounds: tuple[int, ...]
     members: GSet
 
-    def describe(self) -> list[tuple[str, int]]:
-        return [(term_text(t), b) for t, b in zip(self.terms, self.basis_bounds)]
-
 
 def hull_progression(
     spec: ProgressionSpec,

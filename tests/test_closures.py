@@ -3,7 +3,8 @@
 `span` grows a subgroup coset by coset, `normal_closure` conjugates only the
 generators it adjoined, the step reduction enumerates each cyclic subgroup
 once per generator (or, where a free coordinate pins the exponent, tests a
-ratio), and `powers` multiplies only the newest layer of a power chain.
+ratio), and `powers` multiplies only the newest layer of a power chain and,
+in a finite parent, replays the layers an earlier walk of the same set built.
 `derived_subgroup`, `QuotientView.is_abelian` and the step take their
 commutators from the one level builder, `iter_coords` is `itertools.product`
 and `growth_law` reads the power walk.  The functions under "Reference loops"
@@ -46,6 +47,7 @@ from growthlab import (
     symmetrize,
     word_radius_bound,
 )
+from growthlab.gset import powers
 from growthlab.pipeline import _cyclic_membership
 
 # --------------------------------------------------------------------------
@@ -413,8 +415,8 @@ _POWER_POOLS = {G: _pool(G) for G in _POWER_GROUPS}
 
 
 @st.composite
-def _power_case(draw):
-    G = draw(st.sampled_from(_POWER_GROUPS))
+def _power_case(draw, groups=_POWER_GROUPS):
+    G = draw(st.sampled_from(groups))
     members = set(draw(st.lists(st.sampled_from(_POWER_POOLS[G]), min_size=1, max_size=5)))
     identity = G.identity_coords()
     if draw(st.booleans()):
@@ -452,6 +454,39 @@ def test_containment_radius_matches_plain_chain(case, data):
     t = data.draw(st.sampled_from(sorted(chain_P[-1])))
     target = GSet(G, [t], _reduced=True)
     assert containment_exponent(target, spec) == min(k for k, Q in enumerate(chain_P, 1) if t in Q)
+
+
+def _walk(A, n, budget):
+    """The members of A¹..Aⁿ from `powers`, and the (op, needed, budget) of
+    the BudgetExceeded that stopped it, if one did."""
+    out = []
+    try:
+        for P in powers(A, budget):
+            out.append(P.members)
+            if len(out) == n:
+                return out, None
+    except BudgetExceeded as e:
+        return out, (e.op, e.needed, e.budget)
+
+
+_WALK_GROUPS = [parse_group(d) for d in ("ab:7", "ab:13", "ut:3:2", "ut:3:3", "ut:3:5")]
+_POWER_POOLS.update((G, _pool(G)) for G in _WALK_GROUPS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_power_case(_WALK_GROUPS), st.integers(1, 10), st.integers(1, 600))
+def test_replayed_walk_matches_a_fresh_walk(case, depth, budget):
+    # Walk A once at a generous budget, then again under a smaller one: the
+    # second walk replays the stored layers and extends them past `first`.
+    A, first = case
+    assert _walk(A, first, 10**6)[1] is None
+    assert len(A._walk or ()) == first - 1
+    got = _walk(A, depth, budget)
+    assert got == _walk(GSet(A.parent, A.members, _reduced=True), depth, budget)
+    plain = _power_chain_plain(A, depth)
+    assert got[0] == plain[:len(got[0])]
+    if got[1] is None:
+        assert len(A._walk or ()) == max(first, depth) - 1
 
 
 def test_containment_radius_reports_escape_after_stabilisation():

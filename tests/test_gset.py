@@ -10,6 +10,7 @@ from growthlab import (
     FiniteAbelian,
     GSet,
     ParentMismatch,
+    certify,
     growth_stats,
     heisenberg,
     inverse_set,
@@ -100,6 +101,46 @@ def test_budget_enforced():
     assert ei.value.op == "product"
     with pytest.raises(BudgetExceeded):
         power(A, 3, budget=500)
+
+
+def test_power_walk_is_shared_only_in_a_finite_parent(monkeypatch):
+    # Every layer of a walk in ab:p goes through FiniteAbelian.left_row, so
+    # counting its pairs shows whether a second walk rebuilt anything.
+    pairs = []
+    plain_row = FiniteAbelian.left_row
+
+    def counting_row(self, a, bs):
+        row = plain_row(self, a, bs)
+        pairs.append(len(row))
+        return row
+
+    monkeypatch.setattr(FiniteAbelian, "left_row", counting_row)
+    A = symmetrize(_gs(Z101, [1, 10]))
+    first = [S.members for S in power_chain(A, 6)]
+    assert sum(pairs) > 0
+    pairs.clear()
+    assert [S.members for S in power_chain(A, 6)] == first
+    assert sum(pairs) == 0
+    # In Z the powers are unbounded, so the set keeps no walk and a second
+    # walk computes every layer again.
+    Z = symmetrize(_gs(FiniteAbelian((0,)), [1, 10]))
+    power_chain(Z, 6)
+    built = sum(pairs)
+    pairs.clear()
+    power_chain(Z, 6)
+    assert sum(pairs) == built > 0
+    assert Z._walk is None
+
+
+def test_certify_square_from_the_walk_keeps_the_product_guard():
+    # The stored A² cost (|A|-1)|A| pairs; certify still refuses at |A|².
+    A = symmetrize(_gs(Z101, [1, 10]))
+    power(A, 2)
+    n = len(A) ** 2
+    with pytest.raises(BudgetExceeded) as ei:
+        certify(A, A, budget=n - 1)
+    assert (ei.value.op, ei.value.needed, ei.value.budget) == ("product", n, n - 1)
+    assert certify(A, A, budget=n).square_size == len(power(A, 2))
 
 
 def test_parent_mismatch():

@@ -74,7 +74,7 @@ def test_chain_larger_bounds():
 
 def test_hull_basis_contains_commutator_term():
     hull = hull_progression(ProgressionSpec((X, Z), (1, 1)))
-    names = [t for t, _ in hull.describe()]
+    names = [term_text(t) for t in hull.terms]
     assert "x1" in names and "x2" in names and "[x2,x1]" in names
 
 

@@ -163,7 +163,7 @@ def test_cli_failing_record_exit_one(tmp_path, capsys):
     assert out["failed"] == 1
 
 
-def test_cli_bad_input_exit_two(capsys):
+def test_cli_bad_input_exit_two(capsys, monkeypatch):
     assert main(["gen", "ball", "xy:9", "radius=1"]) == 2
     assert "FormatError" in capsys.readouterr().err
     assert main(["gen", "progression", "ab:5", "gens=1", "bounds=x"]) == 2
@@ -175,6 +175,9 @@ def test_cli_bad_input_exit_two(capsys):
     assert "FormatError" in capsys.readouterr().err
     assert main(["oracle", "interval", "ab:101", "L=10", "--rank-max", "-1"]) == 2
     assert "FormatError" in capsys.readouterr().err
+    # a budget below 1 is malformed input, not an exhausted budget
+    assert main(["stats", "ball", "ab:7", "radius=1", "--budget", "0"]) == 2
+    assert "FormatError: --budget must be at least 1" in capsys.readouterr().err
     # each action reads only its own flags; any other one is refused
     prog = ["ut:3:0", "--gens", "1,0,0|0,0,1", "--bounds", "1,1"]
     by = ["--by", "interval", "ab:101", "L=2"]
@@ -187,6 +190,9 @@ def test_cli_bad_input_exit_two(capsys):
     ):
         assert main(argv) == 2
         assert "FormatError" in capsys.readouterr().err
+    monkeypatch.setenv("GROWTHLAB_BUDGET", "-3")
+    assert main(["stats", "ball", "ab:7", "radius=1"]) == 2
+    assert "FormatError: GROWTHLAB_BUDGET must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_malformed_scenario_file_exit_two(tmp_path, capsys):
