@@ -46,16 +46,13 @@ class ApproxCertificate:
 def certify(aset: GSet, witness: GSet, budget: int | None = None) -> ApproxCertificate:
     """Build a certificate, verifying A^2 <= X*A exactly.
 
-    With 1 ∈ A the square comes from A's power walk, under product's own
-    guard on the |A|² pairs, so the budget outcome is still product's.
+    The square comes from A's power walk, under product's own guard on the
+    |A|² pairs, so the budget outcome is still product's.
     """
     budget = resolve_budget(budget)
-    if aset.contains_identity():
-        if len(aset) ** 2 > budget:
-            raise BudgetExceeded("product", len(aset) ** 2, budget)
-        square = power(aset, 2, budget)
-    else:
-        square = product(aset, aset, budget)
+    if len(aset) ** 2 > budget:
+        raise BudgetExceeded("product", len(aset) ** 2, budget)
+    square = power(aset, 2, budget)
     covered = product(witness, aset, budget)
     if not square <= covered:
         missing = len(square.members - covered.members)

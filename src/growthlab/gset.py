@@ -148,12 +148,12 @@ def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
     enumerated and the size of each power.  Without 1 the step is the plain
     product A^k·A.  Once A^{k+1} = A^k every later power is that set too.
 
-    In a finite parent the walk is shared: A keeps [(A², pairs), (A³,
-    pairs), ...] and a later walk replays those layers before it extends
-    them.  A replayed layer meets the same two checks as a rebuilt one
-    (its pairs, then its size) and raises the same BudgetExceeded, so the
-    caller's budget decides every outcome exactly as a rebuild would.  In
-    an infinite parent nothing is kept: the powers need not be bounded.
+    In a finite parent the walk is shared: A keeps [A², A³, ...] and a later
+    walk replays those layers before it extends them.  Each step checks the
+    pairs it costs (|A^k∖A^{k−1}|·|A| with 1 ∈ A, |A^k|·|A| without) and the
+    size of the power it yields, whether replayed or built, so the caller's
+    budget decides every outcome exactly as a rebuild would.  In an infinite
+    parent nothing is kept: the powers need not be bounded.
     """
     budget = resolve_budget(budget)
     yield A
@@ -166,29 +166,23 @@ def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
     prev, cur = frozenset((A.parent.identity_coords(),)), A
     k = 0
     while True:
+        pairs = ((len(cur) - len(prev)) if unit else len(cur)) * len(A)
+        if pairs > budget:
+            raise BudgetExceeded("product", pairs, budget)
         if k < len(walk):
-            nxt, pairs = walk[k]
-            if pairs > budget:
-                raise BudgetExceeded("product", pairs, budget)
-            if len(nxt) > budget:
-                raise BudgetExceeded("product", len(nxt), budget)
+            nxt = walk[k]
         else:
             if unit:
-                fresh = cur.members - prev
-                pairs = len(fresh) * len(A)
-                if pairs > budget:
-                    raise BudgetExceeded("product", pairs, budget)
                 out = set(cur.members)
-                for f in fresh:
+                for f in cur.members - prev:
                     out.update(left_row(f, A.members))
-                if len(out) > budget:
-                    raise BudgetExceeded("product", len(out), budget)
                 nxt = GSet(A.parent, out, _reduced=True)
             else:
-                pairs = len(cur) * len(A)
                 nxt = product(cur, A, budget)
             if keep:
-                walk.append((nxt, pairs))
+                walk.append(nxt)
+        if len(nxt) > budget:
+            raise BudgetExceeded("product", len(nxt), budget)
         prev, cur = cur.members, nxt
         k += 1
         yield nxt
