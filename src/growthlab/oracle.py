@@ -16,6 +16,7 @@ import itertools
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
+from .approx import ApproxCertificate
 from .config import resolve_budget
 from .covering import RuzsaCover, ruzsa_cover
 from .errors import BudgetExceeded, CertificateError, NotAbelian
@@ -335,7 +336,6 @@ class SandersCover:
 
     cover: RuzsaCover
     doubled: GSet
-    ratio: Fraction
 
     @property
     def X(self) -> GSet:
@@ -343,21 +343,20 @@ class SandersCover:
 
 
 def derive_sanders_cover(
-    A: GSet,
+    cert: ApproxCertificate,
     res: OracleResult,
     budget: int | None = None,
-    K: Fraction | None = None,
 ) -> SandersCover:
-    """Turn an oracle hit into a verified cover A ⊆ X + H + 2P.
+    """Turn an oracle hit on cert.aset into a verified cover A ⊆ X + H + 2P.
 
     The Ruzsa cover of A by H+P supplies X; doubling P's bounds absorbs the
-    difference (H+P) - (H+P), and |H+2P| ≤ K^8 |A| holds because H+2P sits
-    inside 4A - 4A.
+    difference (H+P) - (H+P), and |H+2P| ≤ K^8 |A| holds with K = |A+A|/|A|
+    (the certificate's K_lower) because H+2P sits inside 4A - 4A.
     """
     budget = resolve_budget(budget)
+    A = cert.aset
     cp = res.best
-    hull = cp.realized
-    rc = ruzsa_cover(A, hull, budget)
+    rc = ruzsa_cover(A, cp.realized, budget)
     if cp.rank:
         P2 = ordered_progression(cp.spec().scaled(2), budget)
         doubled = product(cp.H.elements, P2, budget)
@@ -366,9 +365,6 @@ def derive_sanders_cover(
     covered = product(rc.X, doubled, budget)
     if not A <= covered:
         raise CertificateError("doubled progression failed to absorb the difference")
-    if K is None:
-        K = Fraction(len(product(A, A, budget)), len(A))
-    if len(doubled) > K ** 8 * len(A):
+    if len(doubled) > cert.K_lower ** 8 * len(A):
         raise CertificateError("doubled hull exceeds the eightfold-growth bound")
-    ratio = Fraction(rc.product_size, len(hull))
-    return SandersCover(cover=rc, doubled=doubled, ratio=ratio)
+    return SandersCover(cover=rc, doubled=doubled)

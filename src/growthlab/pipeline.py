@@ -657,7 +657,7 @@ def _expand(
 
     if step <= 1:
         res = find_coset_progression(cert.aset, DECOMPOSE_RANK_MAX, budget)
-        sc = derive_sanders_cover(cert.aset, res, budget, K=cert.K_lower)
+        sc = derive_sanders_cover(cert, res, budget)
         logs.append(
             f"depth {depth}: base case |A~|={len(cert.aset)} rank={res.best.rank} "
             f"|H~|={res.best.H.order()} |X|={len(sc.X)}"
@@ -914,7 +914,7 @@ def corollary_covers(
             X = GSet(parent, lift, _reduced=True)
         XH = product(X, dec.H.elements, budget)
         verify_translate_cover(A, XH, P, budget, "X·H·P·P⁻¹ verification")
-        rank = 2 * (dec.P_ord_final.rank if dec.P_ord_final else 0)
+        rank = 2 * dec.rank_final
         return RuzsaBranchReport(X, rc.ratio_bound, rank, True)
 
     if which == "chang":
@@ -942,7 +942,7 @@ def corollary_covers(
             T = product(S, T, budget)
         SH = product(stage_lifts[-1], dec.H.elements, budget)
         verify_translate_cover(A, SH, T, budget, "(realized P)·H verification")
-        rank = 2 * (dec.P_ord_final.rank if dec.P_ord_final else 0)
+        rank = 2 * dec.rank_final
         rank += sum(len(S) for S in cc.stages)
         return ChangBranchReport(cc.t, tuple(len(S) for S in cc.stages), rank, True)
 

@@ -56,19 +56,27 @@ class ProgressionSpec:
         return ProgressionSpec(self.generators, tuple(b * factor for b in self.bounds))
 
 
-def _power_interval(g: Element, bound: int) -> GSet:
-    """{g^n : |n| <= bound} built incrementally."""
+def _power_interval(g: Element, bound: int, left: int, budget: int) -> GSet:
+    """{g^n : |n| <= bound}, built for a product with a set of size `left`.
+
+    The interval only grows, so once `left` times its size passes the
+    budget the product after it would fail too; that is raised at once, as
+    product's own error.  A power already in the interval means the powers
+    repeat: the interval is then all of <g> and the walk stops.
+    """
     parent = g.parent
-    cur = parent.identity()
-    out = {cur.coords}
-    pos = cur
-    neg = cur
-    gi = g.inv()
+    mul, gc, gi = parent.mul, g.coords, parent.inv(g.coords)
+    pos = neg = parent.identity_coords()
+    out = {pos}
     for _ in range(bound):
-        pos = pos * g
-        neg = neg * gi
-        out.add(pos.coords)
-        out.add(neg.coords)
+        pos = mul(pos, gc)
+        if pos in out:
+            break
+        out.add(pos)
+        neg = mul(neg, gi)
+        out.add(neg)
+        if left * len(out) > budget:
+            raise BudgetExceeded("product", left * len(out), budget)
     return GSet(parent, out, _reduced=True)
 
 
@@ -80,7 +88,7 @@ def ordered_progression(spec: ProgressionSpec, budget: int | None = None) -> GSe
     parent = spec.parent
     acc = GSet.identity_set(parent)
     for g, L in zip(spec.generators, spec.bounds):
-        acc = product(acc, _power_interval(g, L), budget)
+        acc = product(acc, _power_interval(g, L, len(acc), budget), budget)
     return acc
 
 
@@ -127,11 +135,11 @@ def word_progression(spec: ProgressionSpec, budget: int | None = None) -> GSet:
 # Basic commutators (Hall family) and the hull progression
 # --------------------------------------------------------------------------
 
-def term_text(term, names=None) -> str:
+def term_text(term) -> str:
     """Readable rendering, e.g. [[x2,x1],x1]."""
     if isinstance(term, int):
-        return names[term] if names else f"x{term + 1}"
-    return f"[{term_text(term[0], names)},{term_text(term[1], names)}]"
+        return f"x{term + 1}"
+    return f"[{term_text(term[0])},{term_text(term[1])}]"
 
 
 def hall_basis(rank: int, step: int, budget: int | None = None) -> list:
@@ -186,7 +194,6 @@ class HullProgression:
     spec: ProgressionSpec
     step: int
     terms: tuple
-    basis_bounds: tuple[int, ...]
     members: GSet
 
 
@@ -213,7 +220,7 @@ def hull_progression(
         bounds.append(m)
     inner = ProgressionSpec(elems, tuple(bounds))
     members = ordered_progression(inner, budget)
-    return HullProgression(spec, step, tuple(terms), tuple(bounds), members)
+    return HullProgression(spec, step, tuple(terms), members)
 
 
 def chain_bound(rank: int, step: int) -> int:

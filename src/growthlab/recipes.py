@@ -41,13 +41,11 @@ class Recipe:
     group: str
     params: tuple[tuple[str, str], ...]
 
-    def get(self, key: str, default: str | None = None) -> str:
+    def get(self, key: str) -> str:
         for k, v in self.params:
             if k == key:
                 return v
-        if default is None:
-            raise RecipeError(f"recipe {self.kind!r} needs parameter {key!r}")
-        return default
+        raise RecipeError(f"recipe {self.kind!r} needs parameter {key!r}")
 
 
 def parse_recipe(text: str) -> Recipe:
@@ -66,8 +64,8 @@ def parse_recipe(text: str) -> Recipe:
     return Recipe(kind, group, tuple(params))
 
 
-def _int_param(recipe: Recipe, key: str, default: str | None = None) -> int:
-    raw = recipe.get(key, default)
+def _int_param(recipe: Recipe, key: str) -> int:
+    raw = recipe.get(key)
     try:
         return int(raw)
     except ValueError:

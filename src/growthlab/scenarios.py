@@ -420,7 +420,7 @@ def _op_sanders(state, params, budget):
     A = state["set"]
     cert = _need_cert(state, budget)
     res = state.get("oracle") or find_coset_progression(A, params["rank_max"], budget)
-    sc = derive_sanders_cover(A, res, budget)
+    sc = derive_sanders_cover(cert, res, budget)
     k8_bound = Fraction(cert.K_upper) ** 8 * len(A)
     return {
         "x_size": len(sc.X),

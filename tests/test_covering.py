@@ -11,6 +11,7 @@ from growthlab import (
     FiniteAbelian,
     GSet,
     Meter,
+    QuotientView,
     Unitriangular,
     chang_cover,
     chang_t_bound,
@@ -96,56 +97,100 @@ def test_meter_spends_and_raises():
 
 def test_meets_translated():
     B = frozenset({(1,), (2,)})
-    assert meets_translated(Z101, (0,), B)
-    assert meets_translated(Z101, (1,), B)  # shifts {2,3}, still meets at 2
-    assert not meets_translated(Z101, (50,), B)
+    meter = Meter("scan", 10**6)
+    assert meets_translated(Z101, (0,), B, meter)
+    assert meets_translated(Z101, (1,), B, meter)  # shifts {2,3}, still meets at 2
+    assert not meets_translated(Z101, (50,), B, meter)
 
 
 def test_verify_translate_cover_both_paths():
     ball = generate_example("ball ab:101 radius=1")
     B = generate_example("interval ab:101 L=20")
     X = GSet(Z101, [(0,)], _reduced=True)
-    # materialized path: |X||B| and |X||B|^2 both fit
+    # Both cases stream: a large budget, and one below |X||B|^2 = 1681 that
+    # still holds the at most |ball|*|B| = 123 scanned elements.
     verify_translate_cover(ball, X, B, budget=5_000_000, op="check")
-    # witness-scan path: |X||B|^2 = 1681 exceeds the budget, the scans
-    # (at most |ball|*|B| = 123 probes) do not
     verify_translate_cover(ball, X, B, budget=400, op="check")
     stray = GSet(Z101, list(ball.members) + [(50,)], _reduced=True)
     with pytest.raises(CertificateError):
         verify_translate_cover(stray, X, B, budget=400, op="check")
     with pytest.raises(CertificateError):
         verify_translate_cover(stray, X, B, budget=5_000_000, op="check")
+    # The budget counts scanned elements.  With B the subgroup {0,4,8} of
+    # Z/12 a probe t scans one element when t ∈ B and all three otherwise.
+    # An a in X hits on itself (1); any other a tries x = 0,1,2,3 and hits
+    # at x = a mod 4 (3·(a mod 4) + 1): 4·1 + 2·(1 + 4 + 7 + 10) = 48.
+    Z12 = FiniteAbelian((12,))
+    whole = GSet(Z12, [(i,) for i in range(12)], _reduced=True)
+    reps = GSet(Z12, [(i,) for i in range(4)], _reduced=True)
+    sub = GSet(Z12, [(0,), (4,), (8,)], _reduced=True)
+    verify_translate_cover(whole, reps, sub, budget=48, op="check")
+    with pytest.raises(BudgetExceeded) as ei:
+        verify_translate_cover(whole, reps, sub, budget=47, op="check")
+    assert (ei.value.op, ei.value.needed) == ("check", 48)
 
 
-_UT3 = {p: Unitriangular(3, p) for p in (3, 5)}
-_CENTRES = {p: derived_subgroup(G.generators()).elements for p, G in _UT3.items()}
+def _centre(G):
+    elems = list(G.iter_coords())
+    mul = G.mul
+    return GSet(G, [z for z in elems if all(mul(z, g) == mul(g, z) for g in elems)], _reduced=True)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(_UT3)), st.data())
-def test_witness_scan_on_xh_matches_brute_force(p, data):
-    # The corollary covers check A ⊆ X·H·P·P⁻¹ as A ⊆ (X·H)·P·P⁻¹, here
-    # with H the centre of ut:3:p, on the materialised path (large budget)
-    # and on the streaming one (a budget just below |X·H|·|P|²).
-    G, H = _UT3[p], _CENTRES[p]
+def _scan_cases():
+    # (parent, H) for each parent kind the benchmark workloads cover with a
+    # translate cover; H is the subgroup the corollary covers fold into X.
+    ab = FiniteAbelian((11,))
+    cases = {"ab:11": (ab, GSet.identity_set(ab))}
+    for p in (3, 5):
+        G = Unitriangular(3, p)
+        cases[f"ut:3:{p}"] = (G, derived_subgroup(G.generators()).elements)
+    ut42 = Unitriangular(4, 2)
+    cases["ut:4:2"] = (ut42, _centre(ut42))
+    ut35 = Unitriangular(3, 5)
+    q = QuotientView(ut35, derived_subgroup(ut35.generators()))
+    cases["ut:3:5/Z"] = (q, GSet.identity_set(q))
+    return cases
+
+
+_SCAN_CASES = _scan_cases()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_SCAN_CASES)), st.data())
+def test_witness_scan_on_xh_matches_brute_force(case, data):
+    # The corollary covers check A ⊆ X·H·P·P⁻¹ as A ⊆ (X·H)·P·P⁻¹.  The
+    # scan's verdict must match a plain quadruple loop, with A drawn partly
+    # outside the cover so that rejections are exercised too.
+    G, H = _SCAN_CASES[case]
     pool = sorted(G.iter_coords())
 
-    def draw_set(source, lo, hi):
-        members = data.draw(st.lists(st.sampled_from(source), min_size=lo, max_size=hi, unique=True))
-        return GSet(G, members, _reduced=True)
+    def draw(source, lo, hi):
+        return data.draw(st.lists(st.sampled_from(source), min_size=lo, max_size=hi, unique=True))
 
-    X, P = draw_set(pool, 1, 3), draw_set(pool, 2, 5)
+    X = GSet(G, draw(pool, 1, 3), _reduced=True)
+    P = GSet(G, draw(pool, 1, 5), _reduced=True)
     mul, inv = G.mul, G.inv
     covered = {
         mul(mul(mul(x, h), s), inv(t))
         for x in X.members for h in H.members for s in P.members for t in P.members
     }
-    # |A| < |P| keeps the streaming scan's |A|·|X·H|·|P| probes within budget.
-    A = draw_set(sorted(covered) if data.draw(st.booleans()) else pool, 1, len(P) - 1)
+    A = GSet(G, draw(sorted(covered), 1, 6) + draw(pool, 0, 2), _reduced=True)
     XH = product(X, H)
-    for budget in (10**6, len(XH) * len(P) ** 2 - 1):
+    # No (a, x) probe scans more than |P| elements.
+    for budget in (10**6, len(A) * len(XH) * len(P)):
         if A.members <= covered:
             verify_translate_cover(A, XH, P, budget, "check")
         else:
             with pytest.raises(CertificateError):
                 verify_translate_cover(A, XH, P, budget, "check")
+
+
+def test_ruzsa_cover_checks_budget_before_scanning(monkeypatch):
+    A = generate_example("interval ab:0 L=3000")
+    rows = []
+    real = FiniteAbelian.left_row
+    monkeypatch.setattr(FiniteAbelian, "left_row", lambda self, a, bs: rows.append(a) or real(self, a, bs))
+    with pytest.raises(BudgetExceeded) as ei:
+        ruzsa_cover(A, A, budget=1000)
+    assert (ei.value.op, ei.value.needed, ei.value.budget) == ("product", 36012001, 1000)
+    assert rows == []

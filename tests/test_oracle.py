@@ -128,9 +128,8 @@ def test_sanders_cover_bound():
     A = generate_example("random-symmetric ab:101 size=15 seed=21")
     cert = greedy_cover_certificate(A)
     res = find_coset_progression(A, rank_max=2)
-    sc = derive_sanders_cover(A, res)
+    sc = derive_sanders_cover(cert, res)
     assert len(sc.doubled) <= Fraction(cert.K_upper) ** 8 * len(A)
-    assert sc.ratio >= 1
     # the doubled progression really covers A through X
     hull = _translate_hull(sc.X, sc.doubled)
     assert A <= hull

@@ -4,6 +4,7 @@ word_progression is checked against an independent interleaving oracle
 that enumerates every admissible generator sequence; Hall-basis counts
 are checked against Witt's dimension formula.
 """
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from growthlab import (
     BudgetExceeded,
     Element,
     FiniteAbelian,
+    GSet,
     ProgressionSpec,
     chain_bound,
     containment_exponent,
@@ -21,10 +23,12 @@ from growthlab import (
     heisenberg,
     hull_progression,
     ordered_progression,
+    product,
     term_text,
     verify_chain,
     word_progression,
 )
+from growthlab.cli import main
 
 HZ = heisenberg(0)
 X = Element(HZ, (1, 0, 0))
@@ -188,3 +192,69 @@ def test_rank_zero_spec():
     assert spec.rank == 0
     with pytest.raises(ValueError):
         ordered_progression(spec)
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    real = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *a: calls.append(a) or real(self, *a))
+    return calls
+
+
+def test_power_interval_checks_budget_while_it_grows(monkeypatch, capsys):
+    muls = _count_calls(monkeypatch, FiniteAbelian, "mul")
+    argv = ["prog", "build", "ab:0", "--gens", "1", "--bounds", "2000000", "--budget", "10"]
+    assert main(argv) == 2
+    assert "BudgetExceeded: product" in capsys.readouterr().err
+    assert len(muls) <= 12
+
+
+def test_power_interval_stops_when_powers_repeat(monkeypatch, capsys):
+    muls = _count_calls(monkeypatch, FiniteAbelian, "mul")
+    assert main(["prog", "build", "ab:7", "--gens", "1", "--bounds", "3000000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["members"] == [[i] for i in range(7)]
+    assert len(muls) <= 14
+
+
+def _reference_ordered(spec, budget):
+    """The plain fold: each whole interval, then its product."""
+    parent = spec.parent
+    acc = GSet.identity_set(parent)
+    for g, L in zip(spec.generators, spec.bounds):
+        pos = neg = parent.identity_coords()
+        out = {pos}
+        gi = parent.inv(g.coords)
+        for _ in range(L):
+            pos, neg = parent.mul(pos, g.coords), parent.mul(neg, gi)
+            out.update((pos, neg))
+        acc = product(acc, GSet(parent, out, _reduced=True), budget)
+    return acc
+
+
+_PROG_PARENTS = {
+    "ab:0": FiniteAbelian((0,)),
+    "ab:7": FiniteAbelian((7,)),
+    "ut:3:0": heisenberg(0),
+    "ut:3:3": heisenberg(3),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_PROG_PARENTS)), st.data())
+def test_ordered_progression_matches_plain_fold(name, data):
+    parent = _PROG_PARENTS[name]
+    coord = st.tuples(*[st.integers(-3, 3)] * parent.arity)
+    gens = data.draw(st.lists(coord, min_size=1, max_size=3))
+    bounds = data.draw(st.lists(st.integers(0, 12), min_size=len(gens), max_size=len(gens)))
+    budget = data.draw(st.integers(1, 3000))
+    spec = ProgressionSpec(tuple(Element(parent, parent.reduce(c)) for c in gens), tuple(bounds))
+    try:
+        expected = _reference_ordered(spec, budget)
+    except BudgetExceeded as e:
+        with pytest.raises(BudgetExceeded) as ei:
+            ordered_progression(spec, budget)
+        assert ei.value.op == e.op == "product"
+        assert ei.value.needed <= e.needed
+    else:
+        assert ordered_progression(spec, budget) == expected
