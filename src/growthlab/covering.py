@@ -33,18 +33,13 @@ class Meter:
             raise BudgetExceeded(self.op, self.used, self.budget)
 
 
-def meets_translated(parent, t: tuple, S: frozenset, meter: Meter) -> bool:
-    """Exact test t·S ∩ S ≠ ∅ by scanning S with early exit.
-
-    Equivalent to membership t ∈ S·S^{-1} without materialising the
-    difference set, which is quadratic in |S|.  Every scanned element is
-    charged to `meter`.
-    """
+def meets_translated(parent, t: tuple, S: frozenset, T: frozenset, meter: Meter) -> bool:
+    """Exact test t·S ∩ T ≠ ∅ by a scan of S with early exit, charged to `meter`."""
     mul = parent.mul
     spent = 0
     for s in S:
         spent += 1
-        if mul(t, s) in S:
+        if mul(t, s) in T:
             meter.spend(spent)
             return True
     meter.spend(spent)
@@ -54,21 +49,28 @@ def meets_translated(parent, t: tuple, S: frozenset, meter: Meter) -> bool:
 def verify_translate_cover(A: GSet, X: GSet, B: GSet, budget: int, op: str) -> None:
     """Exact check A ⊆ X·B·B^{-1}; raises CertificateError when it fails.
 
-    The containment is decided element by element through the witness
-    equivalence a ∈ x·B·B^{-1}  ⇔  (x^{-1}a)·B ∩ B ≠ ∅, scanning B with
-    early exit, so X·B·B^{-1} is never materialised.  The budget bounds the
-    total number of elements of B scanned; past it BudgetExceeded(op) is
-    raised.
+    a ∈ X·B·B^{-1} ⇔ a·B meets X·B, decided by scans of B with early exit.
+    Each x is probed as (x^{-1}a)·B ∩ B ≠ ∅ until the probes have scanned
+    more elements than X·B has pairs; then X·B is built under the budget and
+    each later a is one scan, so at most (2|X| + |A|)·|B| elements are
+    scanned.  Past the budget the scans raise BudgetExceeded(op).
     """
     parent = A.parent
     mul, inv = parent.mul, parent.inv
     members = B.members
     meter = Meter(op, budget)
     x_order = X.sorted_members()
+    XB = None
     for a in A.sorted_members():
-        # A kept element covers itself, so try it first when present.
-        cands = [a] + [x for x in x_order if x != a] if a in X.members else x_order
-        if not any(meets_translated(parent, mul(inv(x), a), members, meter) for x in cands):
+        if XB is None and meter.used > len(X) * len(B):
+            XB = product(X, B, budget).members
+        if XB is None:
+            # A kept element covers itself, so try it first when present.
+            cands = [a] + [x for x in x_order if x != a] if a in X.members else x_order
+            hit = any(meets_translated(parent, mul(inv(x), a), members, members, meter) for x in cands)
+        else:
+            hit = meets_translated(parent, a, members, XB, meter)
+        if not hit:
             raise CertificateError("cover failed exact verification")
 
 

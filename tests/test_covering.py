@@ -98,17 +98,19 @@ def test_meter_spends_and_raises():
 def test_meets_translated():
     B = frozenset({(1,), (2,)})
     meter = Meter("scan", 10**6)
-    assert meets_translated(Z101, (0,), B, meter)
-    assert meets_translated(Z101, (1,), B, meter)  # shifts {2,3}, still meets at 2
-    assert not meets_translated(Z101, (50,), B, meter)
+    assert meets_translated(Z101, (0,), B, B, meter)
+    assert meets_translated(Z101, (1,), B, B, meter)  # shifts {2,3}, still meets at 2
+    assert not meets_translated(Z101, (50,), B, B, meter)
+    assert meets_translated(Z101, (50,), B, frozenset({(52,)}), meter)
 
 
 def test_verify_translate_cover_both_paths():
     ball = generate_example("ball ab:101 radius=1")
     B = generate_example("interval ab:101 L=20")
     X = GSet(Z101, [(0,)], _reduced=True)
-    # Both cases stream: a large budget, and one below |X||B|^2 = 1681 that
-    # still holds the at most |ball|*|B| = 123 scanned elements.
+    # Both cases take the one scan: a large budget, and one below the
+    # |X||B|^2 = 1681 that multiplying the cover out would need, which still
+    # holds X·B (41 pairs) and the at most |ball|*|B| = 123 scanned elements.
     verify_translate_cover(ball, X, B, budget=5_000_000, op="check")
     verify_translate_cover(ball, X, B, budget=400, op="check")
     stray = GSet(Z101, list(ball.members) + [(50,)], _reduced=True)
@@ -116,18 +118,30 @@ def test_verify_translate_cover_both_paths():
         verify_translate_cover(stray, X, B, budget=400, op="check")
     with pytest.raises(CertificateError):
         verify_translate_cover(stray, X, B, budget=5_000_000, op="check")
-    # The budget counts scanned elements.  With B the subgroup {0,4,8} of
-    # Z/12 a probe t scans one element when t ∈ B and all three otherwise.
-    # An a in X hits on itself (1); any other a tries x = 0,1,2,3 and hits
-    # at x = a mod 4 (3·(a mod 4) + 1): 4·1 + 2·(1 + 4 + 7 + 10) = 48.
+    # The scans' budget counts scanned elements.  With B the subgroup {0,4,8}
+    # of Z/12 a probe scans one element when it hits and all three when it
+    # misses.  a = 0..3 lie in X and hit on themselves (4); a = 4, 5, 6 hit
+    # at x = a mod 4 (1 + 4 + 7 = 12, 16 so far).  That passes |X|·|B| = 12,
+    # so X·B = Z/12 is built and a = 7..11 each hit at once: 21 in all.
     Z12 = FiniteAbelian((12,))
     whole = GSet(Z12, [(i,) for i in range(12)], _reduced=True)
     reps = GSet(Z12, [(i,) for i in range(4)], _reduced=True)
     sub = GSet(Z12, [(0,), (4,), (8,)], _reduced=True)
-    verify_translate_cover(whole, reps, sub, budget=48, op="check")
+    verify_translate_cover(whole, reps, sub, budget=21, op="check")
     with pytest.raises(BudgetExceeded) as ei:
-        verify_translate_cover(whole, reps, sub, budget=47, op="check")
-    assert (ei.value.op, ei.value.needed) == ("check", 48)
+        verify_translate_cover(whole, reps, sub, budget=20, op="check")
+    assert (ei.value.op, ei.value.needed) == ("check", 21)
+
+
+def test_cover_with_many_translates_stays_linear():
+    # 2001 disjoint translates of a 3-element interval.  Probing each x in
+    # turn would scan about |A|·|X|·|B| / 2 elements; the probes stop past
+    # |X|·|B| = 6003, and once X·B is built each a scans at most |B| = 3.
+    A = generate_example("interval ab:0 L=3000")
+    B = generate_example("interval ab:0 L=1")
+    rc = ruzsa_cover(A, B)
+    assert len(rc.X) == 2001
+    verify_translate_cover(A, rc.X, B, (2 * len(rc.X) + len(A)) * len(B), "check")
 
 
 def _centre(G):
@@ -176,8 +190,10 @@ def test_witness_scan_on_xh_matches_brute_force(case, data):
     }
     A = GSet(G, draw(sorted(covered), 1, 6) + draw(pool, 0, 2), _reduced=True)
     XH = product(X, H)
-    # No (a, x) probe scans more than |P| elements.
-    for budget in (10**6, len(A) * len(XH) * len(P)):
+    # The probes stop once they pass |X·H|·|P| elements and the last adds at
+    # most that again; X·H·P takes |X·H|·|P| pairs, and each later a scans
+    # at most |P| elements.
+    for budget in (10**6, (2 * len(XH) + len(A)) * len(P)):
         if A.members <= covered:
             verify_translate_cover(A, XH, P, budget, "check")
         else:
