@@ -1,8 +1,10 @@
 """Approximate-group certificates and the covering toolbox built on them.
 
 A certificate for A is a finite witness set X with A symmetric, 1 in A and
-A^2 inside X*A; every constructor here re-verifies that containment by exact
-product computation, so a certificate in hand is proof, not promise.
+A^2 inside X*A; every constructor here verifies that containment exactly on
+enumerated sets, so a certificate in hand is proof, not promise.  `certify`
+multiplies X*A out; the greedy and slice constructors prove it element by
+element while they choose X, and never build X*A.
 """
 from __future__ import annotations
 
@@ -206,11 +208,12 @@ def predicate_slice_certificate(
     """Certificate for A^2 ∩ H with witness count at most K^3.
 
     H is given by a membership predicate on coordinates and must be a
-    subgroup (closure is the caller's obligation; the returned certificate is
-    re-verified exactly either way, so a non-subgroup can only fail loudly).
-    The square of the slice sits in A^4 ∩ H; slicing A^4 by translates u*A
-    with u from X^3 and taking one witness per nonempty slice lands the
-    witnesses inside H (they are slice members) with displacement in A^2 ∩ H.
+    subgroup (closure is the caller's obligation).  The square of the slice
+    sits in A^4 ∩ H; slicing A^4 by translates u*A with u from X^3 and taking
+    one witness per nonempty slice lands the witnesses inside H (they are
+    slice members) with displacement in A^2 ∩ H.  The certificate is verified
+    exactly either way: a predicate that is not a subgroup can only fail
+    loudly, at the check that the slice's square stays inside A^4 ∩ H.
     """
     budget = resolve_budget(budget)
     A2 = power(cert.aset, 2, budget)
@@ -226,6 +229,12 @@ def _slice_certificate(
 
     Callers slicing one certificate several times build the three powers
     once and share them.
+
+    With S = A² ∩ H and T = A⁴ ∩ H, the scan removes an element w of T only
+    when c⁻¹w ∈ S for the witness c it chose, so an empty remainder proves
+    T ⊆ C·S element by element.  Then S² ⊆ T, checked on S² from S's power
+    walk under `certify`'s guard on the |S|² pairs, gives S² ⊆ C·S without
+    building C·S.
     """
     A = cert.aset
     slice_set = A2.filter(member)
@@ -249,7 +258,13 @@ def _slice_certificate(
     C = GSet(A.parent, witnesses, _reduced=True)
     if len(C) > cert.K_upper ** 3:
         raise CertificateError("slice witness exceeded K^3")
-    return certify(slice_set, C, budget)
+    if len(slice_set) ** 2 > budget:
+        raise BudgetExceeded("product", len(slice_set) ** 2, budget)
+    square = power(slice_set, 2, budget)
+    if not square.members <= T.members:
+        missing = len(square.members - T.members)
+        raise CertificateError(f"slice square leaves A^4 ∩ H ({missing} elements exposed)")
+    return ApproxCertificate(slice_set, C, len(square))
 
 
 # --------------------------------------------------------------------------

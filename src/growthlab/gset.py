@@ -218,26 +218,39 @@ def _least_powers(
         cur, k = nxt, k + 1
 
 
+def _stable_powers(A: GSet, n: int, budget: int | None) -> Iterator[GSet]:
+    """A^1, ..., A^k from one walk, stopping at k = n or before the first
+    power equal to the one before it (the walk has stabilised)."""
+    prev = None
+    for k, cur in enumerate(powers(A, budget), start=1):
+        if prev is not None and cur.members == prev.members:
+            return
+        yield cur
+        if k == n:
+            return
+        prev = cur
+
+
 def power_chain(A: GSet, n: int, budget: int | None = None) -> list[GSet]:
     """[A^1, ..., A^n].  Detects stabilization (A^{k+1} = A^k) and reuses it."""
     if n < 1:
         raise ValueError("need n >= 1")
-    chain: list[GSet] = []
-    for nxt in powers(A, budget):
-        if chain and nxt.members == chain[-1].members:
-            chain.extend(chain[-1] for _ in range(n - len(chain)))
-            break
-        chain.append(nxt)
-        if len(chain) == n:
-            break
-    return chain
+    chain = list(_stable_powers(A, n, budget))
+    return chain + [chain[-1]] * (n - len(chain))
 
 
 def power(A: GSet, n: int, budget: int | None = None) -> GSet:
-    """A^n for n >= 1; A^0 is the singleton {1}."""
+    """A^n for n >= 1; A^0 is the singleton {1}.
+
+    The walk holds only the newest power, not the whole chain.
+    """
     if n == 0:
         return GSet.identity_set(A.parent)
-    return power_chain(A, n, budget)[-1]
+    if n < 1:
+        raise ValueError("need n >= 1")
+    for cur in _stable_powers(A, n, budget):
+        pass
+    return cur
 
 
 @dataclass(frozen=True)

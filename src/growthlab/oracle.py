@@ -49,8 +49,8 @@ def difference_body(A: GSet, budget: int | None = None) -> GSet:
     return product(product(A2, neg, budget), neg, budget)
 
 
-def _body_is_subgroup(A: GSet, D: GSet, budget: int) -> bool:
-    """Whether D = 2A−2A is a subgroup, decided exactly (members commute).
+def _body_is_subgroup(A: GSet, D: GSet, budget: int) -> list[tuple] | None:
+    """Generators of D = 2A−2A if it is a subgroup, else None (members commute).
 
     D = S·S with S = A·A⁻¹, and 1 ∈ S, so D is a subgroup iff D·S ⊆ D (then
     D·D = D·S·S ⊆ D).  The g with D·g ⊆ D form a subgroup, since D is finite
@@ -59,7 +59,8 @@ def _body_is_subgroup(A: GSet, D: GSet, budget: int) -> bool:
     t in T, and a t already in K, the subgroup generated by those that
     passed, needs no row.  With a₀ = 1, taken when 1 ∈ A, T is A itself.
     The scan stops at the first row that leaves D.  Its rows count against
-    the budget; the joins into K add at most 2|D| products in all.
+    the budget; the joins into K add at most 2|D| products in all.  The t
+    joined into K generate ⟨T⟩ = D, and they are what a subgroup D returns.
     """
     parent = D.parent
     ident = parent.identity_coords()
@@ -67,6 +68,7 @@ def _body_is_subgroup(A: GSet, D: GSet, budget: int) -> bool:
     inside = D.members
     a0_inv = ident if ident in A.members else parent.inv(A.sorted_members()[0])
     K = frozenset((ident,))
+    joined = []
     pairs = 0
     for a in A.sorted_members():
         t = parent.mul(a0_inv, a)
@@ -76,9 +78,10 @@ def _body_is_subgroup(A: GSet, D: GSet, budget: int) -> bool:
         if pairs > budget:
             raise BudgetExceeded("find_coset_progression", pairs, budget)
         if not inside.issuperset(right_row(inside, t)):
-            return False
+            return None
         K = _join_cyclic(K, t, right_row)
-    return True
+        joined.append(t)
+    return joined
 
 
 def subgroups_within(D: GSet, budget: int | None = None) -> list[SubgroupHandle]:
@@ -262,7 +265,8 @@ def find_coset_progression(
     """Best coset progression H + P inside 2A - 2A found by greedy search.
 
     When D = 2A - 2A is itself a subgroup, the answer is H = D at rank 0 and
-    no search runs; an exact scan decides that first.  Otherwise:
+    no search runs; an exact scan decides that first, and H keeps the
+    generators of D that the scan found.  Otherwise:
 
     For every subgroup of the difference body, generator candidates are
     ranked by the popular-difference count |A ∩ (A+d)| (ties by canonical
@@ -284,10 +288,12 @@ def find_coset_progression(
     _require_commuting(A)
     parent = A.parent
     D = difference_body(A, budget)
-    if _body_is_subgroup(A, D, budget):
+    gens = _body_is_subgroup(A, D, budget)
+    if gens is not None:
         # Every realized set lies in D, and under H = D every candidate is in
         # `stab`, so H = D at rank 0 is the search's unique best key.
-        best = CosetProgression(SubgroupHandle(parent, D), (), (), D, budget)
+        H = SubgroupHandle(parent, D, tuple(Element(parent, t) for t in gens))
+        best = CosetProgression(H, (), (), D, budget)
         return OracleResult(best, Fraction(len(D), len(A)), search_log=0, body_size=len(D))
     subs = _subgroups_within(D, budget)
     candidates = _popular_differences(A, D)

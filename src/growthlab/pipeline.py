@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 
 from .approx import ApproxCertificate, _slice_certificate, certify
 from .config import resolve_budget
@@ -69,6 +70,14 @@ class Projection:
     def apply(self, coords) -> tuple:
         return self.codomain.reduce(self._fn(tuple(coords)))
 
+    def table(self, members) -> dict:
+        """{c: π(c)} for canonical domain coordinates, in one map.
+
+        Every rule's map sends canonical coordinates to canonical ones, so
+        no element needs `apply`'s reduction.
+        """
+        return dict(zip(members, map(self._fn, members)))
+
     def image(self, A: GSet) -> GSet:
         if A.parent != self.domain:
             raise ParentMismatch("set lives outside the projection domain")
@@ -84,9 +93,8 @@ def _unitriangular_abelianization(parent: Unitriangular) -> Projection:
     idx = parent.pos_index
     superdiag = tuple(idx[(i, i + 1)] for i in range(n - 1))
     arity = parent.arity
-
-    def fn(c):
-        return tuple(c[k] for k in superdiag)
+    # itemgetter of one index returns the entry, not a 1-tuple.
+    fn = itemgetter(*superdiag) if n > 2 else lambda c: (c[superdiag[0]],)
 
     def section(w):
         out = [0] * arity
@@ -399,8 +407,7 @@ def _factorize(cert: ApproxCertificate, rank_max: int, budget: int, step: int):
     res = find_coset_progression(Abar, rank_max=rank_max, budget=budget)
     chain = power_chain(A, 24, budget)
     A18, A24 = chain[17], chain[23]
-    apply = proj.apply
-    pi = {c: apply(c) for c in A24.members}
+    pi = proj.table(A24.members)
     H_members = res.best.H.elements.members
     fibres = [lambda c: pi[c] in H_members]
     for x in res.best.generators:

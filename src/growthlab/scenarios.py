@@ -304,8 +304,12 @@ def _op_chang(state, params, budget):
 
 def _op_slice(state, params, budget):
     certA = _need_cert(state, budget)
-    B = generate_example(params["b"], budget)
-    certB = greedy_cover_certificate(B, budget)
+    # Every slice op of a scenario with the same `b` shares B's certificate,
+    # and with it B's power walk.
+    key = ("slice", params["b"])
+    if key not in state:
+        state[key] = greedy_cover_certificate(generate_example(params["b"], budget), budget)
+    certB = state[key]
     m, n = params["m"], params["n"]
     sc = slicing_cover(certA, certB, m, n, budget)
     return {

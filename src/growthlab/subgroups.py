@@ -18,6 +18,12 @@ from .gset import GSet, product
 class SubgroupHandle:
     """An enumerated subgroup with an optional normality verdict.
 
+    What `generators` holds depends on the constructor.  From `span` and from
+    the oracle's H = 2A−2A shortcut they generate the subgroup.  From
+    `normal_closure` they are the seeds it was grown from, which generate it
+    only as a normal subgroup, together with their conjugates.  Empty means
+    none were kept, and `gen_elements` then lists every element.
+
     is_normal is a tri-state: True once conjugation-stability has been
     verified against a generating set of conjugators (which implies
     normality in the group they generate), False after a failed check,
@@ -91,6 +97,20 @@ def _closure_start(gen_elems, what: str):
     return parent, sorted({g.coords for g in gen_elems} | {inv(g.coords) for g in gen_elems})
 
 
+def _conjugators(parent, coords) -> list[tuple]:
+    """One element of each pair {g, g⁻¹} among coords, without 1, sorted.
+
+    For a finite subgroup H, gHg⁻¹ ⊆ H forces gHg⁻¹ = H (both have |H|
+    elements), hence g⁻¹Hg = H: conjugating by g checks g⁻¹ too.
+    """
+    inv, ident = parent.inv, parent.identity_coords()
+    kept: set[tuple] = set()
+    for g in sorted(coords):
+        if g != ident and inv(g) not in kept:
+            kept.add(g)
+    return sorted(kept)
+
+
 def span(gens, budget: int | None = None) -> SubgroupHandle:
     """Smallest subgroup containing gens, grown coset by coset from {1}."""
     budget = resolve_budget(budget)
@@ -109,10 +129,10 @@ def normal_closure(H, conj_gens, budget: int | None = None) -> SubgroupHandle:
     """Smallest subgroup containing H that is conjugation-stable under conj_gens.
 
     Stability under a generating set implies normality in the generated group.
-    Only the generators N was grown from are conjugated: if g·h·g⁻¹ ∈ N for
-    every such h and every g ∈ conj ∪ conj⁻¹, then gNg⁻¹ ⊆ N, and equality
-    holds because N is finite.  A conjugate outside N is adjoined to it and
-    conjugated in turn.
+    Only the generators N was grown from are conjugated, and only by one g of
+    each pair {g, g⁻¹} in conj: if g·h·g⁻¹ ∈ N for every such h, then
+    gNg⁻¹ ⊆ N, and equality holds because N is finite, so g⁻¹Ng = N as well.
+    A conjugate outside N is adjoined to it and conjugated in turn.
     """
     budget = resolve_budget(budget)
     conj = _gen_list(conj_gens)
@@ -122,8 +142,7 @@ def normal_closure(H, conj_gens, budget: int | None = None) -> SubgroupHandle:
     pool = [g if isinstance(g, Element) else Element(base[0].parent, g) for g in base]
     parent, start = _closure_start(pool, "normal_closure")
     mul, inv = parent.mul, parent.inv
-    conj_coords = {g.coords for g in conj} | {inv(g.coords) for g in conj}
-    conj_pairs = [(g, inv(g)) for g in sorted(conj_coords)]
+    conj_pairs = [(g, inv(g)) for g in _conjugators(parent, {g.coords for g in conj})]
     members = {parent.identity_coords()}
     gens: list[tuple] = []
     _adjoin(parent, members, gens, start, budget, "normal_closure")
@@ -154,15 +173,18 @@ def derived_subgroup(G_gens, budget: int | None = None) -> SubgroupHandle:
 
 
 def check_normal(H: SubgroupHandle, conj_gens, budget: int | None = None) -> SubgroupHandle:
-    """Return a copy of H with its normality verdict against conj_gens filled in."""
-    gens = _gen_list(conj_gens)
+    """Return a copy of H with its normality verdict against conj_gens filled in.
+
+    H is finite, so conjugating by one g of each pair {g, g⁻¹} decides both.
+    """
     parent = H.parent
     members = H.elements.members
     left_row, right_row, inv = parent.left_row, parent.right_row, parent.inv
+    conj = _conjugators(parent, {g.coords for g in _gen_list(conj_gens)})
     # g·H·g⁻¹ as two rows, (g·H)·g⁻¹.
     ok = all(
-        members.issuperset(right_row(left_row(g.coords, members), inv(g.coords)))
-        for g in gens
+        members.issuperset(right_row(left_row(g, members), inv(g)))
+        for g in conj
     )
     return SubgroupHandle(parent, H.elements, H.generators, is_normal=ok)
 

@@ -1,7 +1,14 @@
-"""Certificates, growth law, slicing, sumset tables, and mapped images."""
+"""Certificates, growth law, slicing, sumset tables, and mapped images.
+
+A slice certificate is proved by its own translate scan and never builds
+C·S; `ref_slice_certificate` is the plain scan followed by `certify`, and a
+hypothesis property pins the fast path to it.
+"""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthlab import (
     BudgetExceeded,
@@ -11,6 +18,8 @@ from growthlab import (
     GSet,
     NotAbelian,
     PartialMap,
+    QuotientView,
+    Unitriangular,
     certify,
     doubling_constant,
     fibre_cover,
@@ -19,12 +28,15 @@ from growthlab import (
     heisenberg,
     image_certificate,
     is_centred_triple_hom,
+    normal_closure,
+    power,
     predicate_slice_certificate,
     slicing_cover,
     span,
     sumset_growth_table,
     symmetrize,
 )
+from growthlab.approx import _slice_certificate
 from growthlab.recipes import generate_example
 
 Z101 = FiniteAbelian((101,))
@@ -90,6 +102,41 @@ def test_predicate_and_subgroup_slices():
     assert sliced.aset <= _pow(A, 2)
     assert all(c in H for c in sliced.aset.elements())
     assert sliced.K_upper <= cert.K_upper ** 3
+
+
+def test_non_subgroup_predicate_fails_at_the_square_check():
+    # P = {-1, 0, 1} in Z_101 is no subgroup.  Its scan covers T = P by the
+    # witness 0, but S² = {-2, ..., 2} leaves T, and C·S = P misses ±2.
+    A = _interval(1)
+    cert = greedy_cover_certificate(A)
+    with pytest.raises(CertificateError, match="slice square"):
+        predicate_slice_certificate(cert, A.members.__contains__)
+    with pytest.raises(CertificateError):
+        certify(A, GSet(A.parent, [(0,)]))
+
+
+def test_slice_scan_covers_each_element_through_the_slice():
+    # P = {0, -3, -4} in Z_13 is no subgroup, yet S = A² ∩ P = {0} has
+    # S² ⊆ P, so the square check passes and only the scan keeps the
+    # certificate true: -3 and -4 share a translate u·A, but neither covers
+    # the other through S, so each is its own witness.
+    A = _interval(1, 13)
+    cert = greedy_cover_certificate(A)
+    P = {(0,), (9,), (10,)}
+    got = predicate_slice_certificate(cert, P.__contains__)
+    assert got.witness.members == frozenset(P)
+    assert got == certify(got.aset, got.witness)
+
+
+def test_slice_certificate_keeps_the_square_guard():
+    A = _interval(3)
+    cert = greedy_cover_certificate(A)
+    A2, A4, X3 = power(A, 2), power(A, 4), power(cert.witness, 3)
+    n = len(A2) ** 2  # the slice is all of A², as the predicate holds everywhere
+    with pytest.raises(BudgetExceeded) as ei:
+        _slice_certificate(cert, lambda c: True, A2, A4, X3, n - 1)
+    assert (ei.value.op, ei.value.needed) == ("product", n)
+    assert _slice_certificate(cert, lambda c: True, A2, A4, X3, n).aset == A2
 
 
 def test_fibre_cover_pigeonhole():
@@ -183,3 +230,99 @@ def _pow(S, m):
     from growthlab import power
 
     return power(S, m)
+
+
+# --------------------------------------------------------------------------
+# Slice certificates against the plain scan and certify
+
+
+def ref_slice_certificate(cert, member):
+    """The translate scan by plain loops, then `certify` on its witness."""
+    A = cert.aset
+    G = A.parent
+    mul, inv = G.mul, G.inv
+
+    def prod(X, Y):
+        return {mul(x, y) for x in X for y in Y}
+
+    A2 = prod(A.members, A.members)
+    A4 = prod(A2, A2)
+    X3 = prod(prod(cert.witness.members, cert.witness.members), cert.witness.members)
+    S = {c for c in A2 if member(c)}
+    remaining = {c for c in A4 if member(c)}
+    witnesses = set()
+    for u in sorted(X3):
+        hit = {mul(u, a) for a in A.members} & remaining
+        if not hit:
+            continue
+        c = min(hit)
+        witnesses.add(c)
+        remaining -= {w for w in hit if mul(inv(c), w) in S}
+    if remaining or len(witnesses) > cert.K_upper ** 3:
+        return CertificateError
+    try:
+        return certify(GSet(G, S, _reduced=True), GSet(G, witnesses, _reduced=True))
+    except CertificateError:
+        return CertificateError
+
+
+def _centre_quotient(U):
+    corner = [0] * U.arity
+    corner[U.pos_index[(0, U.n - 1)]] = 1
+    return QuotientView(U, normal_closure([Element(U, tuple(corner))], U.generators()))
+
+
+_SLICE_GROUPS = [
+    FiniteAbelian((7,)),
+    FiniteAbelian((4, 6)),
+    Unitriangular(3, 3),
+    Unitriangular(3, 5),
+    Unitriangular(4, 2),
+    _centre_quotient(Unitriangular(4, 2)),
+]
+_SLICE_POOLS = {G: sorted(G.iter_coords()) for G in _SLICE_GROUPS}
+
+
+@st.composite
+def _slice_case(draw):
+    """A certificate and a predicate: a subgroup, or a set P ∋ 1 in A⁴.
+
+    Many sets P are closed, step by step, until S² ⊆ P for S = A² ∩ P, so
+    that they pass the square check and only the scan tells them from a
+    subgroup.
+    """
+    G = draw(st.sampled_from(_SLICE_GROUPS))
+    pool = _SLICE_POOLS[G]
+    A = symmetrize(GSet(G, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)), _reduced=True))
+    cert = greedy_cover_certificate(A)
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+        H = span([Element(G, c) for c in gens]).elements.members
+        return cert, H.__contains__, True
+    A2 = power(A, 2).members
+    body = sorted(power(A, 4).members)
+    P = set(draw(st.lists(st.sampled_from(body), max_size=12))) | {G.identity_coords()}
+    while draw(st.booleans()):
+        S = P & A2
+        square = {G.mul(x, y) for x in S for y in S}
+        if square <= P:
+            break
+        P |= square
+    return cert, P.__contains__, False
+
+
+@settings(max_examples=200, deadline=None)
+@given(_slice_case())
+def test_slice_certificate_matches_certify_on_the_scan_witness(case):
+    cert, member, subgroup = case
+    A = cert.aset
+    expected = ref_slice_certificate(cert, member)
+    try:
+        got = _slice_certificate(cert, member, power(A, 2), power(A, 4), power(cert.witness, 3), 10**6)
+    except CertificateError:
+        got = CertificateError
+    # For a subgroup both agree, certificate or refusal.  Any other predicate
+    # may fail the square check where certify would pass, but a certificate
+    # it does return is certify's.
+    if subgroup or got is not CertificateError:
+        assert got == expected

@@ -1,7 +1,8 @@
 """Subgroup closures, cyclic fibres and power chains against plain loops.
 
 `span` grows a subgroup coset by coset, `normal_closure` conjugates only the
-generators it adjoined, the step reduction enumerates each cyclic subgroup
+generators it adjoined, and it and `check_normal` conjugate by one element of
+each pair {g, g⁻¹}; the step reduction enumerates each cyclic subgroup
 once per generator (or, where a free coordinate pins the exponent, tests a
 ratio), and `powers` multiplies only the newest layer of a power chain and,
 in a finite parent, replays the layers an earlier walk of the same set built.
@@ -30,6 +31,7 @@ from growthlab import (
     QuotientView,
     SubgroupHandle,
     Unitriangular,
+    check_normal,
     commutator,
     containment_exponent,
     containment_radius,
@@ -302,6 +304,37 @@ def test_normal_closure_matches_whole_set_loop(case, data):
     assert N.elements.members == expected
     assert N.generators == tuple(sorted(elems))
     assert N.is_normal is True
+
+
+def _is_normal_loop(parent, members, conj):
+    """Every h of H conjugated by every g and g⁻¹ of conj stays in H."""
+    mul, inv = parent.mul, parent.inv
+    both = set(conj) | {inv(g) for g in conj}
+    return all(mul(mul(g, h), inv(g)) in members for g in both for h in members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generators(), st.data())
+def test_check_normal_matches_all_conjugators_loop(case, data):
+    # H is a span (often not normal) or a normal closure; the conjugators are
+    # a generating set or any list, which need not hold inverses.
+    G, gens = case
+    conj = data.draw(st.one_of(
+        st.just(G.generator_coords()),
+        st.lists(st.sampled_from(_POOLS[G]), min_size=1, max_size=4),
+    ))
+    elems = [Element(G, c) for c in gens]
+    conj_elems = [Element(G, c) for c in conj]
+    try:
+        if data.draw(st.booleans()):
+            H = span(elems, _SMALL)
+        else:
+            H = normal_closure(elems, [Element(G, c) for c in _POOLS[G][:3]], _SMALL)
+    except BudgetExceeded:
+        return
+    got = check_normal(H, conj_elems)
+    assert got.is_normal is _is_normal_loop(G, H.elements.members, conj)
+    assert (got.elements, got.generators) == (H.elements, H.generators)
 
 
 def test_normal_closure_conjugates_what_it_adjoined():

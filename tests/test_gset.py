@@ -1,5 +1,6 @@
 """Set calculus: exact products, powers, symmetry, and budget behaviour."""
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,44 @@ def test_certify_square_from_the_walk_keeps_the_product_guard():
         certify(A, A, budget=n - 1)
     assert (ei.value.op, ei.value.needed, ei.value.budget) == ("product", n, n - 1)
     assert certify(A, A, budget=n).square_size == len(power(A, 2))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).members
+    except BudgetExceeded as e:
+        return (e.op, e.needed, e.budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 30), min_size=1, max_size=4),
+    st.booleans(),
+    st.integers(1, 9),
+    st.integers(1, 200),
+)
+def test_power_matches_the_last_power_of_the_chain(coords, unit, n, budget):
+    # In Z_31 the walk stabilises within a few steps, so n runs past it.
+    A = _gs(FiniteAbelian((31,)), coords + [0] if unit else coords)
+    expected = _outcome(lambda *a: power_chain(*a)[-1], A, n, budget)
+    fresh = _gs(A.parent, coords + [0] if unit else coords)  # no stored walk
+    assert _outcome(power, fresh, n, budget) == expected
+
+
+def test_power_holds_only_the_newest_power():
+    # |A^150| = 45,301 for A = {0, ±e1, ±e2} in Z², and A^1, ..., A^150
+    # together hold about 2.3 M entries: keeping them peaks near 110 MB,
+    # the newest power alone near 12 MB.
+    G = FiniteAbelian((0, 0))
+    A = symmetrize(GSet(G, G.generator_coords()))
+    tracemalloc.start()
+    try:
+        P = power(A, 150)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(P) == 2 * 150 ** 2 + 2 * 150 + 1
+    assert peak < 32 * 2 ** 20
 
 
 def test_parent_mismatch():

@@ -81,8 +81,11 @@ def test_oracle_returns_a_subgroup_body_without_searching():
     assert res.search_log == 0
     assert res.body_size == 121
     assert res.density == Fraction(121, len(Abar))
-    # Two rows D·t decide it: the first t generates a Z₁₁, the second the rest.
-    assert _body_is_subgroup(Abar, D, 242)
+    # Two rows D·t decide it: the first t generates a Z₁₁, the second the
+    # rest, and H keeps those two t as its generators.
+    gens = _body_is_subgroup(Abar, D, 242)
+    assert len(gens) == 2
+    assert [g.coords for g in res.best.H.generators] == gens
     with pytest.raises(BudgetExceeded, match="find_coset_progression"):
         _body_is_subgroup(Abar, D, 241)
 
@@ -91,7 +94,7 @@ def test_oracle_searches_a_body_that_is_not_a_subgroup():
     # In Z no finite set but {0} is a subgroup, so the search runs in full.
     A = GSet(FiniteAbelian((0,)), [(-2,), (0,), (1,), (2,)])
     res = find_coset_progression(A, rank_max=2)
-    assert not _body_is_subgroup(A, difference_body(A), 10**6)
+    assert _body_is_subgroup(A, difference_body(A), 10**6) is None
     assert res.search_log == ref_find_coset_progression(A, 2)[5] > 0
     assert res.best.H.order() == 1
     assert res.best.rank == 1
@@ -357,4 +360,10 @@ def test_oracle_shortcuts_match_plain_loops(A, symmetric):
     assert _popular_differences(A, D) == ref_popular_differences(A, D)
     subs = ref_subgroups_within(D)
     assert [H.elements.members for H in subgroups_within(D)] == subs
-    assert _body_is_subgroup(A, D, 10**6) == (D.members in subs)
+    gens = _body_is_subgroup(A, D, 10**6)
+    assert (gens is not None) == (D.members in subs)
+    # A subgroup D comes with generators, and they generate all of D.
+    if gens:
+        assert span([Element(A.parent, t) for t in gens]).elements == D
+    elif gens is not None:
+        assert D.members == {A.parent.identity_coords()}

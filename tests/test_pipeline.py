@@ -2,9 +2,10 @@
 step reduction, the full recursion, and the two corollary covers.
 
 The step reduction shares one power chain, one X³ and one table of π(c)
-among its slices, and the pigeonhole scores candidates against a suffix
-table.  "Shared values against the plain versions" keeps the versions
-they replaced and pins the shortcuts to them.
+among its slices, lifts the generators the oracle kept for H rather than
+all of H, and the pigeonhole scores candidates against a suffix table.
+"Shared values against the plain versions" keeps the versions they
+replaced and pins the shortcuts to them.
 """
 from fractions import Fraction
 
@@ -34,7 +35,9 @@ from growthlab import (
     greedy_cover_certificate,
     heisenberg,
     in_cyclic,
+    normal_closure,
     ordered_progression,
+    parse_group,
     power,
     predicate_slice_certificate,
     product,
@@ -45,6 +48,7 @@ from growthlab import (
     step_reduction,
     word_radius_bound,
 )
+from growthlab import oracle
 from growthlab.approx import _slice_certificate
 from growthlab.pipeline import Piece, _factorize, _pigeonhole, _suffix_products
 from growthlab.recipes import generate_example
@@ -251,6 +255,64 @@ def test_slice_recipes_cover_cyclic_fibres():
     assert rs == [2, 1, 1]
 
 
+# Sets whose oracle takes the H = 2A−2A shortcut, with steps 2 and 3, and
+# two whose decomposition fails on a known defect (the error must not move).
+_SHORTCUT_RECIPES = (
+    "ball ut:3:7 radius=2",
+    "random-symmetric ut:3:5 size=9 seed=2",
+    "ball ut:3:11 radius=1",
+    "ball ut:4:2 radius=1",
+    "random-symmetric ut:4:2 size=5 seed=1",
+)
+
+
+def _decompose_outcome(cert):
+    try:
+        dec = decompose(cert)
+    except (ContainmentError, ParentMismatch) as e:
+        return repr(e)
+    return dec.to_report(), dec.H.elements.members
+
+
+@pytest.mark.parametrize("recipe", _SHORTCUT_RECIPES)
+def test_oracle_generators_give_the_same_decomposition_as_every_element(recipe, monkeypatch):
+    # The step reduction lifts H's generators into its commutators.  With
+    # none kept it lifts every element of H, as it did before the shortcut
+    # kept them; N, H and the report must not change.
+    cert = greedy_cover_certificate(generate_example(recipe))
+    kept = []
+    scan = oracle._body_is_subgroup
+
+    def recording(A, D, budget):
+        gens = scan(A, D, budget)
+        if gens is not None:
+            kept.append(len(gens) < len(D))
+        return gens
+
+    monkeypatch.setattr(oracle, "_body_is_subgroup", recording)
+    with_gens = _decompose_outcome(cert)
+    assert any(kept)
+    monkeypatch.setattr(oracle, "_body_is_subgroup", lambda A, D, b: None if scan(A, D, b) is None else [])
+    assert _decompose_outcome(cert) == with_gens
+
+
+@pytest.mark.parametrize("group", ["ut:2:5", "ut:3:4", "ut:4:0", "prod:(ut:3:3);(ab:4)"])
+def test_projection_table_matches_apply(group):
+    # In a finite group also two views: over [G, G], whose image in the
+    # abelianization is trivial, and over the normal closure of a generator,
+    # whose image is not.
+    G = parse_group(group)
+    A = power(_ball(group), 3)
+    sets = [A]
+    if G.is_finite():
+        gens = G.generators()
+        for K in (derived_subgroup(gens), normal_closure(gens[:1], gens)):
+            sets.append(quotient_project(QuotientView(G, K), A))
+    for S in sets:
+        proj = abelianization(S.parent)
+        assert proj.table(S.members) == {c: proj.apply(c) for c in S.members}
+
+
 def ref_pigeonhole(H_set, pieces):
     """The chosen u per sparse piece, each candidate scored by the chained
     product left·u·X_{i+1}···X_n (None at progression pieces)."""
@@ -316,19 +378,21 @@ def test_pigeonhole_suffix_table_matches_chained_products(case):
     assert [p.chosen.coords if p.kind == "sparse" else None for p in got] == ref_pigeonhole(H, pieces)
 
 
-# The least budget at which `decompose` ran without BudgetExceeded while
-# the pigeonhole still chained H·X_0·X_1⋯ per candidate (found by bisection
-# on that code).  The suffix table asks the budget for other pair counts
-# (|H|·|S_0|, |left·u|·|S_{i+1}|), which in general bound neither way; on
-# these sets, several with H the whole group, the outcome is unchanged.
+# The least budget at which `decompose` runs without BudgetExceeded, found
+# by bisection.  The suffix table asks the budget for other pair counts
+# (|H|·|S_0|, |left·u|·|S_{i+1}|) than the chained pigeonhole it replaced,
+# and left these unchanged.  The ut:3:11 set guards the slice certificates:
+# it needs 14,641 = |A|·|H|, the pairs of A·H, but 31,622 if C·S were
+# multiplied out again.
 _CHAINED_THRESHOLDS = (
     ("random-symmetric ut:3:3 size=5 seed=0", 169),  # |H| = 27
     ("random-symmetric ut:3:3 size=7 seed=1", 529),  # |H| = 27
-    ("random-symmetric ut:3:5 size=5 seed=0", 663),  # |H| = 125
-    ("random-symmetric ut:3:5 size=7 seed=0", 1702),  # |H| = 125
+    ("random-symmetric ut:3:5 size=5 seed=0", 625),  # |H| = 125
+    ("random-symmetric ut:3:5 size=7 seed=0", 1369),  # |H| = 125
     ("random-symmetric ut:4:2 size=5 seed=0", 121),  # |H| = 16
     ("random-symmetric ut:4:2 size=5 seed=1", 144),  # |H| = 16
     ("ball ut:3:5 radius=2", 12321),
+    ("random-symmetric ut:3:11 size=11 seed=111", 14641),  # |H| = 1331
 )
 
 
