@@ -214,35 +214,22 @@ def predicate_slice_certificate(
     slice members) with displacement in A^2 ∩ H.  The certificate is verified
     exactly either way: a predicate that is not a subgroup can only fail
     loudly, at the check that the slice's square stays inside A^4 ∩ H.
-    """
-    budget = resolve_budget(budget)
-    A2 = power(cert.aset, 2, budget)
-    A4 = product(A2, A2, budget)
-    X3 = power(cert.witness, 3, budget)
-    return _slice_certificate(cert, member, A2, A4, X3, budget)
-
-
-def _slice_certificate(
-    cert: ApproxCertificate, member, A2: GSet, A4: GSet, X3: GSet, budget: int
-) -> ApproxCertificate:
-    """predicate_slice_certificate given A², A⁴ and X³ of the certificate.
-
-    Callers slicing one certificate several times build the three powers
-    once and share them.
 
     With S = A² ∩ H and T = A⁴ ∩ H, the scan removes an element w of T only
     when c⁻¹w ∈ S for the witness c it chose, so an empty remainder proves
     T ⊆ C·S element by element.  Then S² ⊆ T, checked on S² from S's power
     walk under `certify`'s guard on the |S|² pairs, gives S² ⊆ C·S without
-    building C·S.
+    building C·S.  A², A⁴ and X³ come from the power walks of A and X, so
+    in a finite parent the slices of one certificate replay them.
     """
+    budget = resolve_budget(budget)
     A = cert.aset
-    slice_set = A2.filter(member)
-    T = A4.filter(member)
+    slice_set = power(A, 2, budget).filter(member)
+    T = power(A, 4, budget).filter(member)
     mul, left_row = A.parent.mul, A.parent.left_row
     witnesses = []
     remaining = set(T.members)
-    for u in X3.sorted_members():
+    for u in power(cert.witness, 3, budget).sorted_members():
         if not remaining:
             break
         uA = frozenset(left_row(u, A.members))

@@ -74,8 +74,15 @@ def verify_translate_cover(A: GSet, X: GSet, B: GSet, budget: int, op: str) -> N
             raise CertificateError("cover failed exact verification")
 
 
-def _disjoint_translates(A: GSet, B: GSet) -> list[tuple]:
-    """Greedy maximal subset of A whose left-translates of B are pairwise disjoint."""
+def _disjoint_translates(A: GSet, B: GSet, budget: int) -> list[tuple]:
+    """Greedy maximal subset of A whose left-translates of B are pairwise disjoint.
+
+    The scan computes a·B for every a in A, so |A|·|B| past the budget
+    raises BudgetExceeded before it starts.
+    """
+    pairs = len(A) * len(B)
+    if pairs > budget:
+        raise BudgetExceeded("disjoint_translates", pairs, budget)
     left_row = A.parent.left_row
     kept = []
     occupied: set = set()
@@ -95,7 +102,6 @@ class RuzsaCover:
     X: GSet
     ratio_bound: int
     product_size: int
-    verified: bool = True
 
 
 def ruzsa_cover(A: GSet, B: GSet, budget: int | None = None) -> RuzsaCover:
@@ -109,7 +115,7 @@ def ruzsa_cover(A: GSet, B: GSet, budget: int | None = None) -> RuzsaCover:
     # fail before the translate scan starts, and dropping it at once keeps
     # AB and the scan's occupied set from being held together.
     ab_size = len(product(A, B, budget))
-    X = GSet(A.parent, _disjoint_translates(A, B), _reduced=True)
+    X = GSet(A.parent, _disjoint_translates(A, B, budget), _reduced=True)
     ratio_bound = -(-ab_size // len(B))
     if len(X) > ratio_bound:
         raise CertificateError("disjoint family exceeds |AB|/|B|; scan is broken")
@@ -130,7 +136,6 @@ class ChangCover:
     stages: tuple[GSet, ...]
     hull_sizes: tuple[int, ...]
     t_bound: int
-    verified: bool = True
 
     @property
     def t(self) -> int:
@@ -179,7 +184,7 @@ def chang_cover(
     T = B
     while True:
         hull_sizes.append(len(T))
-        kept = _disjoint_translates(A, T)
+        kept = _disjoint_translates(A, T, budget)
         if len(kept) <= cap:
             S = GSet(A.parent, kept, _reduced=True)
             stages.append(S)

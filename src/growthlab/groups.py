@@ -61,9 +61,18 @@ class GroupDescriptor:
         """Enumerate the whole group (finite backends only)."""
         raise NotImplementedError
 
+    # Coordinate layout.  `coord_moduli` holds the modulus of each
+    # coordinate (0: unbounded).  `abelian_coords` lists, in order, the
+    # coordinates the group law adds and that feed no other coordinate: the
+    # abelianization keeps exactly these, and the unit vectors there
+    # generate the group.
+    coord_moduli: tuple[int, ...]
+    abelian_coords: tuple[int, ...]
+
     def generator_coords(self) -> list[tuple[int, ...]]:
-        """A standard finite generating set."""
-        raise NotImplementedError
+        """Unit vectors at the abelian coordinates whose modulus is not 1."""
+        moduli, zeros = self.coord_moduli, self.identity_coords()
+        return [zeros[:k] + (1,) + zeros[k + 1:] for k in self.abelian_coords if moduli[k] != 1]
 
     # convenience wrappers over Element
     def identity(self) -> "Element":
@@ -143,15 +152,13 @@ class FiniteAbelian(GroupDescriptor):
             raise ValueError("cannot enumerate an infinite group")
         return itertools.product(*(range(m) for m in self.moduli))
 
-    def generator_coords(self):
-        out = []
-        for i, m in enumerate(self.moduli):
-            if m == 1:
-                continue
-            c = [0] * len(self.moduli)
-            c[i] = 1
-            out.append(tuple(c))
-        return out
+    @property
+    def coord_moduli(self) -> tuple[int, ...]:
+        return self.moduli
+
+    @property
+    def abelian_coords(self) -> tuple[int, ...]:
+        return tuple(range(len(self.moduli)))
 
 
 @dataclass(frozen=True)
@@ -276,16 +283,14 @@ class Unitriangular(GroupDescriptor):
             raise ValueError("cannot enumerate an infinite group")
         return itertools.product(range(self.modulus), repeat=self.arity)
 
-    def generator_coords(self):
-        # Superdiagonal elementary matrices generate the whole group.
-        if self.modulus == 1:
-            return []
-        out = []
-        for i in range(self.n - 1):
-            c = [0] * self.arity
-            c[self.pos_index[(i, i + 1)]] = 1
-            out.append(tuple(c))
-        return out
+    @property
+    def coord_moduli(self) -> tuple[int, ...]:
+        return (self.modulus,) * self.arity
+
+    @property
+    def abelian_coords(self) -> tuple[int, ...]:
+        """The superdiagonal: every other entry is fed by products of entries."""
+        return tuple(self.pos_index[(i, i + 1)] for i in range(self.n - 1))
 
 
 @dataclass(frozen=True)
@@ -371,13 +376,15 @@ class DirectProduct(GroupDescriptor):
         parts = itertools.product(*(f.iter_coords() for f in self.factors))
         return (sum(p, ()) for p in parts)
 
-    def generator_coords(self):
-        out = []
-        for f, off in zip(self.factors, self.offsets):
-            pad_l, pad_r = off, self.arity - off - f.arity
-            for c in f.generator_coords():
-                out.append((0,) * pad_l + c + (0,) * pad_r)
-        return out
+    @property
+    def coord_moduli(self) -> tuple[int, ...]:
+        return sum((f.coord_moduli for f in self.factors), ())
+
+    @property
+    def abelian_coords(self) -> tuple[int, ...]:
+        return tuple(
+            off + k for f, off in zip(self.factors, self.offsets) for k in f.abelian_coords
+        )
 
 
 class Element:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter
 
-from .approx import ApproxCertificate, _slice_certificate, certify
+from .approx import ApproxCertificate, certify, predicate_slice_certificate
 from .config import resolve_budget
 from .covering import chang_cover, ruzsa_cover, verify_translate_cover
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     StepDropFailed,
     StepTooLow,
 )
-from .groups import DirectProduct, Element, FiniteAbelian, Unitriangular
+from .groups import Element, FiniteAbelian
 from .gset import GSet, _least_powers, power, power_chain, product
 from .oracle import OracleResult, derive_sanders_cover, find_coset_progression
 from .progressions import ProgressionSpec, ordered_progression
@@ -87,63 +87,6 @@ class Projection:
         return Element(self.domain, self.domain.reduce(self._section(tuple(coords))))
 
 
-def _unitriangular_abelianization(parent: Unitriangular) -> Projection:
-    n, m = parent.n, parent.modulus
-    codomain = FiniteAbelian((m,) * (n - 1))
-    idx = parent.pos_index
-    superdiag = tuple(idx[(i, i + 1)] for i in range(n - 1))
-    arity = parent.arity
-    # itemgetter of one index returns the entry, not a 1-tuple.
-    fn = itemgetter(*superdiag) if n > 2 else lambda c: (c[superdiag[0]],)
-
-    def section(w):
-        out = [0] * arity
-        for k, v in zip(superdiag, w):
-            out[k] = v
-        return tuple(out)
-
-    kernel = []
-    for k, (i, j) in enumerate(parent.positions):
-        if j - i >= 2:
-            coords = [0] * arity
-            coords[k] = 1
-            kernel.append(Element(parent, parent.reduce(tuple(coords))))
-    return Projection(parent, codomain, fn, section, kernel)
-
-
-def _product_abelianization(parent: DirectProduct) -> Projection:
-    parts = [abelianization(f) for f in parent.factors]
-    moduli: tuple[int, ...] = ()
-    for p in parts:
-        moduli += p.codomain.moduli
-    codomain = FiniteAbelian(moduli)
-    offsets = parent.offsets
-    arities = tuple(f.arity for f in parent.factors)
-
-    def fn(c):
-        out: tuple[int, ...] = ()
-        for p, off, ar in zip(parts, offsets, arities):
-            out += p._fn(c[off:off + ar])
-        return out
-
-    def section(w):
-        out: tuple[int, ...] = ()
-        pos = 0
-        for p in parts:
-            width = p.codomain.arity
-            out += p._section(w[pos:pos + width])
-            pos += width
-        return out
-
-    kernel = []
-    for fi, (p, off, ar) in enumerate(zip(parts, offsets, arities)):
-        for g in p.kernel_gens:
-            coords = list(parent.identity_coords())
-            coords[off:off + ar] = list(g.coords)
-            kernel.append(Element(parent, parent.reduce(tuple(coords))))
-    return Projection(parent, codomain, fn, section, kernel)
-
-
 def _view_abelianization(parent: QuotientView) -> Projection:
     inner = abelianization(parent.base)
     K_image = inner.image(parent.kernel.elements)
@@ -171,16 +114,33 @@ def _view_abelianization(parent: QuotientView) -> Projection:
 
 
 def abelianization(parent) -> Projection:
-    """Projection of the backend onto its commutator quotient."""
-    if isinstance(parent, FiniteAbelian):
-        return Projection(parent, parent, lambda c: c, lambda c: c, ())
-    if isinstance(parent, Unitriangular):
-        return _unitriangular_abelianization(parent)
-    if isinstance(parent, DirectProduct):
-        return _product_abelianization(parent)
+    """Projection of the backend onto its commutator quotient.
+
+    A base backend keeps its abelian coordinates, with their moduli.  The
+    section writes them into zeros, and the unit vectors of the other
+    coordinates generate the kernel.
+    """
     if isinstance(parent, QuotientView):
         return _view_abelianization(parent)
-    raise TypeError(f"no abelianization rule for {parent!r}")
+    keep = parent.abelian_coords
+    moduli = parent.coord_moduli
+    codomain = FiniteAbelian(tuple(moduli[k] for k in keep))
+    # itemgetter of one index returns the entry, not a 1-tuple.
+    fn = itemgetter(*keep) if len(keep) > 1 else lambda c: (c[keep[0]],)
+    zeros = parent.identity_coords()
+
+    def section(w):
+        out = list(zeros)
+        for k, v in zip(keep, w):
+            out[k] = v
+        return tuple(out)
+
+    kernel = [
+        Element(parent, parent.reduce(zeros[:k] + (1,) + zeros[k + 1:]))
+        for k in range(parent.arity)
+        if k not in keep
+    ]
+    return Projection(parent, codomain, fn, section, kernel)
 
 
 # --------------------------------------------------------------------------
@@ -293,8 +253,7 @@ def build_section(q: QuotientView, A: GSet, budget: int | None = None) -> Sectio
         key = q.reduce(a)
         if key not in table:
             table[key] = a
-    A2 = power(A, 2, budget)
-    A3 = product(A2, A, budget)
+    A2, A3 = power_chain(A, 3, budget)[1:]
     N = q.kernel.elements.members
     for a in A.members:
         defect = base.mul(a, base.inv(table[q.reduce(a)]))
@@ -321,7 +280,6 @@ class PullbackReport:
 
     size: int
     lower_bound: Fraction
-    verified: bool
 
 
 def pullback_check(
@@ -348,7 +306,7 @@ def pullback_check(
     bound = c * len(A)
     if len(hits) < bound:
         raise ContainmentError("pullback fell below c|A|")
-    return PullbackReport(len(hits), bound, True)
+    return PullbackReport(len(hits), bound)
 
 
 # --------------------------------------------------------------------------
@@ -394,10 +352,9 @@ def abelian_factorization(
 def _factorize(cert: ApproxCertificate, rank_max: int, budget: int, step: int):
     """abelian_factorization of a set whose step is known.
 
-    Also returns the power chain [A, ..., A²⁴] and one fibre predicate per
-    factor (π⁻¹(H) first, then π⁻¹(⟨x_i⟩)).  The predicates look π(c) up in
-    a table built once over A²⁴, which holds every power of A up to 24
-    because 1 ∈ A.
+    Also returns one fibre predicate per factor (π⁻¹(H) first, then
+    π⁻¹(⟨x_i⟩)).  The predicates look π(c) up in a table built once over
+    A²⁴, which holds every power of A up to 24 because 1 ∈ A.
     """
     A = cert.aset
     if step < 2:
@@ -423,7 +380,7 @@ def _factorize(cert: ApproxCertificate, rank_max: int, budget: int, step: int):
         product_size = len(prod)
         density = Fraction(product_size, len(A))
     fac = Factorization(H_part, tuple(parts), product_size, density, res, proj, step)
-    return fac, chain, fibres
+    return fac, fibres
 
 
 # --------------------------------------------------------------------------
@@ -438,7 +395,6 @@ class StepReduction:
     N_radius: int
     r: int
     factors: tuple[ApproxCertificate, ...]
-    step_drop_verified: bool
     step_in: int
     reduced_parent: object | None  # None: factors already live low enough
     product_size: int
@@ -530,8 +486,7 @@ def _reduce_step(
 
     Also returns what the step-drop check and the factor product already
     built: each factor's set in the reduced parent, the step of each, and
-    the product of the factors in order.  The slices share one A², one A⁴
-    (from the factorization's power chain) and one X³.
+    the product of the factors in order.
     """
     A_t = cert.aset
     parent = A_t.parent
@@ -539,16 +494,12 @@ def _reduce_step(
     is_view = isinstance(parent, QuotientView)
     trivial_N = SubgroupHandle(parent, GSet.identity_set(parent), (), True)
     if step <= 1:
-        red = StepReduction(trivial_N, 0, 1, (cert,), True, step, None, len(A_t))
+        red = StepReduction(trivial_N, 0, 1, (cert,), step, None, len(A_t))
         return red, [A_t], [step], A_t
 
-    fac, chain, fibres = _factorize(cert, rank_max, budget, step)
+    fac, fibres = _factorize(cert, rank_max, budget, step)
     proj = fac.projection
-    X3 = power(cert.witness, 3, budget)
-    factors = [
-        _slice_certificate(cert, member, chain[1], chain[3], X3, budget)
-        for member in fibres
-    ]
+    factors = [predicate_slice_certificate(cert, member, budget) for member in fibres]
 
     lifted = [proj.section_element(h.coords) for h in fac.oracle.best.H.gen_elements()]
     g0_gens = lifted + [Element(parent, g.coords) for g in proj.kernel_gens]
@@ -592,7 +543,7 @@ def _reduce_step(
     for f in factors[1:]:
         prod = product(prod, f.aset, budget)
     red = StepReduction(
-        N, N_radius, len(factors) - 1, tuple(factors), True, step,
+        N, N_radius, len(factors) - 1, tuple(factors), step,
         reduced_parent, len(prod),
     )
     return red, reduced_sets, steps, prod
@@ -653,10 +604,13 @@ def _expand(
     logs: list[str],
     depth: int,
     step: int,
-) -> tuple[list[SubgroupHandle], list[Piece]]:
-    """Recursive cover: sparse + progression pieces plus normal contributions.
+) -> tuple[list[Element], list[Piece]]:
+    """Recursive cover: sparse + progression pieces plus normal generators.
 
-    `step` is the nilpotency step of cert.aset, known to the caller.
+    `step` is the nilpotency step of cert.aset, known to the caller.  The
+    normal generators are, per base case, the members of the oracle's H
+    other than 1 and the generators of the kernel it sits over, and per step
+    the generators of the kernel quotiented out.
     """
     parent = cert.aset.parent
     is_view = isinstance(parent, QuotientView)
@@ -672,12 +626,7 @@ def _expand(
         seeds = [Element(base, c) for c in res.best.H.elements.members]
         if is_view:
             seeds += parent.kernel.gen_elements()
-        seeds = [e for e in seeds if e.coords != base.identity_coords()]
-        normals = []
-        if seeds:
-            normals.append(
-                normal_closure(seeds, list(ambient.aset.elements()), budget)
-            )
+        normal_gens = [e for e in seeds if e.coords != base.identity_coords()]
         pieces = [Piece("sparse", GSet(base, sc.X.members))]
         if res.best.rank:
             spec2 = res.best.spec().scaled(2)
@@ -686,7 +635,7 @@ def _expand(
             pieces.append(
                 Piece("progression", ordered_progression(spec_b, budget), spec_b)
             )
-        return normals, pieces
+        return normal_gens, pieces
 
     _check_inside_power(cert, ambient, m, budget)
     red, reduced_sets, steps, B = _reduce_step(
@@ -697,10 +646,10 @@ def _expand(
         f"depth {depth}: step {red.step_in} -> r={red.r} |N|={red.N.order()} "
         f"N_radius={red.N_radius} |B|={len(B)} |X_top|={len(rc.X)}"
     )
-    normals: list[SubgroupHandle] = []
+    normal_gens: list[Element] = []
     view = red.reduced_parent
     if view is not None:
-        normals.append(view.kernel)
+        normal_gens.extend(view.kernel.gen_elements())
         sub_certs = [
             certify(S, quotient_project(view, f.witness), budget)
             for S, f in zip(reduced_sets, red.factors)
@@ -710,16 +659,16 @@ def _expand(
     pieces: list[Piece] = [Piece("sparse", GSet(base, rc.X.members))]
     factor_pieces: list[list[Piece]] = []
     for f, sub_step in zip(sub_certs, steps):
-        sub_normals, sub_pieces = _expand(
+        sub_gens, sub_pieces = _expand(
             f, ambient, 2 * m, budget, logs, depth + 1, sub_step
         )
-        normals.extend(sub_normals)
+        normal_gens.extend(sub_gens)
         factor_pieces.append(sub_pieces)
     for plist in factor_pieces:
         pieces.extend(plist)
     for plist in reversed(factor_pieces):
         pieces.extend(plist)
-    return normals, pieces
+    return normal_gens, pieces
 
 
 def _suffix_products(sets: list[GSet], budget: int) -> list[GSet]:
@@ -798,11 +747,7 @@ def decompose(cert: ApproxCertificate, budget: int | None = None) -> Decompositi
             cert.K_upper, radius_H, 0, 0, Fraction(1), tuple(logs),
         )
 
-    normals, raw_pieces = _expand(cert, cert, 1, budget, logs, 0, step)
-    gen_pool: list[Element] = []
-    for N in normals:
-        if not N.is_trivial():
-            gen_pool.extend(N.gen_elements())
+    gen_pool, raw_pieces = _expand(cert, cert, 1, budget, logs, 0, step)
     if gen_pool:
         H = span(gen_pool, budget)
     else:
@@ -871,7 +816,6 @@ class RuzsaBranchReport:
     X: GSet
     ratio_bound: int
     rank: int
-    verified: bool
 
 
 @dataclass(frozen=True)
@@ -881,7 +825,6 @@ class ChangBranchReport:
     t: int
     stage_sizes: tuple[int, ...]
     rank: int
-    verified: bool
 
 
 def corollary_covers(
@@ -922,7 +865,7 @@ def corollary_covers(
         XH = product(X, dec.H.elements, budget)
         verify_translate_cover(A, XH, P, budget, "X·H·P·P⁻¹ verification")
         rank = 2 * dec.rank_final
-        return RuzsaBranchReport(X, rc.ratio_bound, rank, True)
+        return RuzsaBranchReport(X, rc.ratio_bound, rank)
 
     if which == "chang":
         if trivial:
@@ -951,6 +894,6 @@ def corollary_covers(
         verify_translate_cover(A, SH, T, budget, "(realized P)·H verification")
         rank = 2 * dec.rank_final
         rank += sum(len(S) for S in cc.stages)
-        return ChangBranchReport(cc.t, tuple(len(S) for S in cc.stages), rank, True)
+        return ChangBranchReport(cc.t, tuple(len(S) for S in cc.stages), rank)
 
     raise ValueError(f"unknown cover branch {which!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .config import resolve_budget
 from .errors import BudgetExceeded, RecipeError
-from .groups import DirectProduct, Element, FiniteAbelian, Unitriangular
+from .groups import Element, FiniteAbelian
 from .gset import GSet, power, symmetrize
 from .progressions import ProgressionSpec, ordered_progression
 from .subgroups import span
@@ -126,23 +126,10 @@ def _coset_union(parent, recipe: Recipe, budget: int) -> GSet:
 
 
 def _sample_coords(parent, rng: random.Random, spread: int) -> tuple[int, ...]:
-    if isinstance(parent, FiniteAbelian):
-        return tuple(
-            rng.randrange(m) if m else rng.randrange(-spread, spread + 1)
-            for m in parent.moduli
-        )
-    if isinstance(parent, Unitriangular):
-        m = parent.modulus
-        return tuple(
-            rng.randrange(m) if m else rng.randrange(-spread, spread + 1)
-            for _ in parent.positions
-        )
-    if isinstance(parent, DirectProduct):
-        out: list[int] = []
-        for f in parent.factors:
-            out.extend(_sample_coords(f, rng, spread))
-        return tuple(out)
-    raise RecipeError(f"no sampler for {parent!r}")
+    return tuple(
+        rng.randrange(m) if m else rng.randrange(-spread, spread + 1)
+        for m in parent.coord_moduli
+    )
 
 
 def _random_symmetric(parent, size: int, seed: int, budget: int) -> GSet:

@@ -13,6 +13,7 @@ from growthlab import (
     Meter,
     QuotientView,
     Unitriangular,
+    certify,
     chang_cover,
     chang_t_bound,
     derived_subgroup,
@@ -36,7 +37,6 @@ def test_ruzsa_cover_small_frozen():
     assert len(rc.X) == 15
     assert rc.ratio_bound == 17
     assert rc.product_size == 83
-    assert rc.verified
     assert len(rc.X) <= math.ceil(rc.product_size / len(B))
 
 
@@ -67,7 +67,6 @@ def test_chang_cover_multi_stage_frozen():
     cap = 2 * cert.K_upper
     assert all(s <= cap for s in cc.stage_sizes)
     assert cc.t <= cc.t_bound
-    assert cc.verified
 
 
 def test_chang_requires_b_inside_power():
@@ -210,3 +209,17 @@ def test_ruzsa_cover_checks_budget_before_scanning(monkeypatch):
         ruzsa_cover(A, A, budget=1000)
     assert (ei.value.op, ei.value.needed, ei.value.budget) == ("product", 36012001, 1000)
     assert rows == []
+
+
+def test_chang_cover_meters_its_translate_scans():
+    # On the corollary path B ⊆ A^m is taken as given, so nothing else
+    # bounds the scans: each stage computes a·T for all 601 elements a of
+    # A, and the last T has 256 elements (stages 4, 4, 4, 4, 3).
+    A = generate_example("interval ab:0 L=300")
+    cert = certify(A, GSet(A.parent, [(-300,), (300,)]))
+    B = GSet(A.parent, [(0,)])
+    with pytest.raises(BudgetExceeded) as ei:
+        chang_cover(cert, B, 1, budget=153_855, assume_in_power=True)
+    assert (ei.value.op, ei.value.needed) == ("disjoint_translates", 601 * 256)
+    cc = chang_cover(cert, B, 1, budget=153_856, assume_in_power=True)
+    assert (cert.K_upper, cc.stage_sizes, cc.hull_sizes) == (2, (4, 4, 4, 4, 3), (1, 4, 16, 64, 256))

@@ -15,6 +15,7 @@ from growthlab import (
     commutator,
     conjugate,
     heisenberg,
+    parse_group,
 )
 
 
@@ -132,3 +133,24 @@ def test_direct_product_must_be_flat():
     inner = DirectProduct((FiniteAbelian((2,)), FiniteAbelian((3,))))
     with pytest.raises(ValueError):
         DirectProduct((inner, FiniteAbelian((5,))))
+
+
+# generator_coords is one rule over each backend's coordinate layout; these
+# lists are the ones the per-backend rules it replaced returned.
+_GENERATOR_COORDS = {
+    "ab:6,0": [(1, 0), (0, 1)],
+    "ut:2:5": [(1,)],
+    "ut:3:5": [(1, 0, 0), (0, 0, 1)],
+    "ut:4:0": [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)],
+    "prod:(ab:5);(ut:3:3)": [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)],
+    "prod:(ut:3:0);(ab:0,7)": [
+        (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1),
+    ],
+    "ab:1,4,0": [(0, 1, 0), (0, 0, 1)],
+    "ut:3:1": [],
+}
+
+
+@pytest.mark.parametrize("text", sorted(_GENERATOR_COORDS))
+def test_generator_coords_match_the_per_backend_lists(text):
+    assert parse_group(text).generator_coords() == _GENERATOR_COORDS[text]

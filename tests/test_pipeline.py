@@ -1,12 +1,15 @@
 """The decomposition pipeline: abelianization, sections, fibres,
 step reduction, the full recursion, and the two corollary covers.
 
-The step reduction shares one power chain, one X³ and one table of π(c)
-among its slices, lifts the generators the oracle kept for H rather than
-all of H, and the pigeonhole scores candidates against a suffix table.
+The slices of a step reduction take A², A⁴ and X³ from the power walks
+and share one table of π(c); the step reduction lifts the generators the
+oracle kept for H rather than all of H, and the pigeonhole scores
+candidates against a suffix table.
 "Shared values against the plain versions" keeps the versions they
 replaced and pins the shortcuts to them.
 """
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,12 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import (
+    ApproxCertificate,
     BudgetExceeded,
     CertificateError,
     ContainmentError,
+    DirectProduct,
     Element,
     FiniteAbelian,
     GSet,
+    GrowthLabError,
     NotAbelian,
     ParentMismatch,
     ProgressionSpec,
@@ -49,7 +55,6 @@ from growthlab import (
     word_radius_bound,
 )
 from growthlab import oracle
-from growthlab.approx import _slice_certificate
 from growthlab.pipeline import Piece, _factorize, _pigeonhole, _suffix_products
 from growthlab.recipes import generate_example
 
@@ -69,6 +74,73 @@ def test_abelianization_of_heisenberg():
     a = proj.apply((1, 2, 1))
     b = proj.apply((1, 0, 1))
     assert a == b  # central coordinate dies
+
+
+def _ref_abelianization(G):
+    """(codomain moduli, π, section, kernel coordinates) by one rule per
+    backend: the identity for ab:, the superdiagonal for ut:, and the
+    factors' rules side by side for prod:."""
+    if isinstance(G, FiniteAbelian):
+        return G.moduli, lambda c: tuple(c), lambda w: tuple(w), []
+    if isinstance(G, Unitriangular):
+        sup = [k for k, (i, j) in enumerate(G.positions) if j == i + 1]
+
+        def section(w):
+            out = [0] * G.arity
+            for k, v in zip(sup, w):
+                out[k] = v
+            return tuple(out)
+
+        kernel = [
+            tuple(int(t == k) for t in range(G.arity))
+            for k, (i, j) in enumerate(G.positions) if j > i + 1
+        ]
+        return (G.modulus,) * len(sup), lambda c: tuple(c[k] for k in sup), section, kernel
+    parts = [_ref_abelianization(f) for f in G.factors]
+    cuts = list(itertools.accumulate((f.arity for f in G.factors), initial=0))
+    wcuts = list(itertools.accumulate((len(p[0]) for p in parts), initial=0))
+    spans = list(zip(parts, cuts, cuts[1:], wcuts, wcuts[1:]))
+
+    def fn(c):
+        return sum((p[1](c[a:b]) for p, a, b, _, _ in spans), ())
+
+    def section(w):
+        return sum((p[2](w[u:v]) for p, _, _, u, v in spans), ())
+
+    kernel = [
+        (0,) * a + k + (0,) * (G.arity - b) for p, a, b, _, _ in spans for k in p[3]
+    ]
+    return sum((p[0] for p in parts), ()), fn, section, kernel
+
+
+_ABELIANIZED = (
+    "ab:6,0", "ut:2:5", "ut:3:5", "ut:4:0", "prod:(ab:5);(ut:3:3)", "prod:(ut:3:0);(ab:0,7)",
+)
+
+
+@pytest.mark.parametrize("text", _ABELIANIZED)
+def test_abelianization_matches_the_per_backend_rules(text):
+    G = parse_group(text)
+    moduli, fn, section, kernel = _ref_abelianization(G)
+    proj = abelianization(G)
+    assert proj.codomain == FiniteAbelian(moduli)
+    assert [g.coords for g in proj.kernel_gens] == [G.reduce(k) for k in kernel]
+    rng = random.Random(text)
+    members = [G.reduce(tuple(rng.randrange(-9, 10) for _ in range(G.arity))) for _ in range(50)]
+    assert proj.table(members) == {c: fn(c) for c in members}
+    for _ in range(50):
+        w = tuple(rng.randrange(-9, 10) for _ in moduli)
+        assert proj.section_element(w) == Element(G, G.reduce(section(w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_ABELIANIZED), st.data())
+def test_abelianization_is_a_homomorphism(text, data):
+    G = parse_group(text)
+    proj = abelianization(G)
+    coords = st.tuples(*[st.integers(-9, 9)] * G.arity).map(G.reduce)
+    a, b = data.draw(coords), data.draw(coords)
+    assert proj.apply(G.mul(a, b)) == proj.codomain.mul(proj.apply(a), proj.apply(b))
 
 
 def test_in_cyclic():
@@ -114,7 +186,7 @@ def test_pullback_check():
     q = QuotientView(H3, derived_subgroup(H3.generators()))
     P = quotient_project(q, A)
     rep = pullback_check(q, A, P, 1, Fraction(1))
-    assert rep.verified and rep.size == 27 and rep.lower_bound == Fraction(27)
+    assert rep.size == 27 and rep.lower_bound == Fraction(27)
     with pytest.raises(CertificateError):
         pullback_check(q, A, P, 1, Fraction(2))
 
@@ -141,7 +213,6 @@ def test_step_reduction_mod3():
     cert = greedy_cover_certificate(_ball("ut:3:3"))
     red = step_reduction(cert, cert, 1, 2)
     assert red.step_in == 2
-    assert red.step_drop_verified
     assert red.N.order() == 3
     assert [len(f.aset) for f in red.factors] == [13]
     assert red.product_size == 13
@@ -187,9 +258,9 @@ def test_corollary_covers_mod3():
     cert = greedy_cover_certificate(_ball("ut:3:3"))
     dec = decompose(cert)
     rz = corollary_covers(dec, cert, "ruzsa")
-    assert rz.verified and len(rz.X) == 1 and rz.rank == 6
+    assert len(rz.X) == 1 and rz.rank == 6
     ch = corollary_covers(dec, cert, "chang")
-    assert ch.verified and ch.t == 1 and list(ch.stage_sizes) == [1] and ch.rank == 7
+    assert ch.t == 1 and list(ch.stage_sizes) == [1] and ch.rank == 7
     # Both branches build X·H before the witness scan, so the scan, streamed
     # or not, needs a budget of at least |X|·|H| (here 1·27).
     assert len(dec.H.elements) == 27
@@ -197,7 +268,7 @@ def test_corollary_covers_mod3():
         with pytest.raises(BudgetExceeded) as ei:
             corollary_covers(dec, cert, which, budget=26)
         assert ei.value.op == "product"
-        assert corollary_covers(dec, cert, which, budget=27).verified
+        corollary_covers(dec, cert, which, budget=27)
 
 
 def test_decompose_respects_config_budget():
@@ -226,7 +297,7 @@ _SLICE_RECIPES = (
 def test_slices_with_shared_powers_match_predicate_slices(recipe):
     cert = greedy_cover_certificate(generate_example(recipe))
     step = step_of_generated(list(cert.aset.elements()))
-    fac, chain, fibres = _factorize(cert, 2, 10**6, step)
+    fac, fibres = _factorize(cert, 2, 10**6, step)
     proj, best = fac.projection, fac.oracle.best
     H = best.H.elements.members
     # The predicates as they were: project each element when asked.
@@ -236,11 +307,20 @@ def test_slices_with_shared_powers_match_predicate_slices(recipe):
     ]
     assert fac.H_part == power(cert.aset, 18).filter(plain[0])
     assert list(fac.cyclic_parts) == [power(cert.aset, 24).filter(p) for p in plain[1:]]
-    X3 = power(cert.witness, 3)
+    # The factorization kept A's walk; the first slice keeps X's.  Each
+    # later call replays both and must equal a call on fresh copies of the
+    # sets, which keep no walk.
+    assert cert.aset._walk
+    G = cert.aset.parent
     for fibre, member in zip(fibres, plain):
-        shared = _slice_certificate(cert, fibre, chain[1], chain[3], X3, 10**6)
-        alone = predicate_slice_certificate(cert, member)
-        assert shared == alone
+        fresh = ApproxCertificate(
+            GSet(G, cert.aset.members, _reduced=True),
+            GSet(G, cert.witness.members, _reduced=True),
+            cert.square_size,
+        )
+        first = predicate_slice_certificate(cert, fibre)
+        assert predicate_slice_certificate(cert, fibre) == first
+        assert predicate_slice_certificate(fresh, member) == first
     if not recipe.startswith("ball ut:4"):
         red = step_reduction(cert, cert, 1, 2)
         assert list(red.factors) == [predicate_slice_certificate(cert, p) for p in plain]
@@ -253,6 +333,22 @@ def test_slice_recipes_cover_cyclic_fibres():
         cert = greedy_cover_certificate(generate_example(recipe))
         rs.append(abelian_factorization(cert, 2).r)
     assert rs == [2, 1, 1]
+
+
+# Known defects: H is the span of the normal generators `decompose`
+# collects, which need not be normal, and a set in a finer quotient over the
+# same base is refused by `quotient_project`.  Until they are fixed, the
+# errors must not move.
+@pytest.mark.parametrize("recipe,error,message", [
+    ("ball ut:3:11 radius=1", ContainmentError, "assembled H is not normalised by A"),
+    ("ball ut:3:13 radius=1", ContainmentError, "assembled H is not normalised by A"),
+    ("ball ut:4:2 radius=1", ParentMismatch, "set does not live in the base of the quotient"),
+])
+def test_known_defects_keep_their_errors(recipe, error, message):
+    cert = greedy_cover_certificate(generate_example(recipe))
+    with pytest.raises(GrowthLabError) as ei:
+        decompose(cert)
+    assert (type(ei.value), str(ei.value)) == (error, message)
 
 
 # Sets whose oracle takes the H = 2A−2A shortcut, with steps 2 and 3, and

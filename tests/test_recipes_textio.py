@@ -144,3 +144,31 @@ def test_dumps_json_deterministic():
 def test_dumps_csv():
     text = dumps_csv([(1, "x"), (2, "y")], ("n", "name"))
     assert text == "n,name\n1,x\n2,y\n"
+
+
+# The sampler draws one coordinate per modulus of the descriptor's layout;
+# these members are what the per-backend samplers it replaced drew.
+_SAMPLED = {
+    "random-symmetric prod:(ab:5);(ut:3:3) size=9 seed=4": [
+        (0, 0, 0, 0), (0, 0, 1, 2), (0, 0, 2, 1), (1, 1, 0, 2), (2, 0, 0, 2),
+        (2, 2, 0, 0), (3, 0, 0, 1), (3, 1, 0, 0), (4, 2, 2, 1),
+    ],
+    "random-symmetric prod:(ut:3:0);(ab:0,7) size=15 seed=2": [
+        (-15, 34, -2, -14, 4), (-15, 213, -15, -12, 0), (-13, -13, -4, 11, 1),
+        (-8, 38, -6, -12, 5), (-7, 4, -9, 4, 0), (-3, -36, 10, 2, 2),
+        (-3, 10, 8, 12, 4), (0, 0, 0, 0, 0), (3, -34, -8, -12, 3),
+        (3, 6, -10, -2, 5), (7, 59, 9, -4, 0), (8, 10, 6, 12, 2),
+        (13, 65, 4, -11, 6), (15, -4, 2, 14, 3), (15, 12, 15, 12, 0),
+    ],
+    "random-symmetric ut:4:0 size=11 seed=9": [
+        (-10, 61, -457, -5, 37, -8), (-9, -1, 6, 8, 11, -10), (-6, -4, -10, -8, -7, 5),
+        (-3, -17, -123, 3, 25, 6), (-1, 9, 45, -3, -20, 6), (0, 0, 0, 0, 0, 0),
+        (1, -6, 11, 3, 2, -6), (3, 8, 0, -3, -7, -6), (6, 52, -208, 8, -33, -5),
+        (9, -71, -815, -8, -91, 10), (10, -11, -1, 5, 3, 8),
+    ],
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(_SAMPLED))
+def test_random_symmetric_sets_are_the_ones_drawn_per_backend(recipe):
+    assert list(generate_example(recipe).sorted_members()) == _SAMPLED[recipe]

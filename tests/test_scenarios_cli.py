@@ -383,6 +383,18 @@ def test_run_suites_refuses_bad_arguments_with_exit_two(tmp_path):
         assert not outdir.exists()
 
 
+def test_least_budget_script_bisects_and_refuses_bad_arguments():
+    run = _script("least_budget.py", "random-symmetric", "ut:3:3", "size=5", "seed=0", "--op", "decompose")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "169\n"
+    for args, message in ((["ball", "ut:3:3", "radius=1", "--op", "ruzsa"], "invalid choice: 'ruzsa'"),
+                          (["ball", "ut:3:3", "--op", "decompose"], "needs parameter 'radius'")):
+        run = _script("least_budget.py", *args)
+        assert run.returncode == 2
+        assert message in run.stderr
+        assert "Traceback" not in run.stderr
+
+
 def test_cli_jobs_below_one_exit_two(capsys):
     assert main(["suite", "sections", "--jobs", "0"]) == 2
     assert "FormatError" in capsys.readouterr().err
