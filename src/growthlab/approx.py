@@ -130,6 +130,31 @@ def growth_law(cert: ApproxCertificate, max_power: int, budget: int | None = Non
 # Slicing covers: powers and intersections by translates of small cores
 # --------------------------------------------------------------------------
 
+def _slice_scan(target: GSet, cells, core: GSet, failure: str) -> GSet:
+    """Witnesses C, one per cell that meets the uncovered part of `target`.
+
+    The witness c of a cell is its least uncovered element, and it covers each
+    w of that hit with c⁻¹w ∈ core, so an empty remainder proves target ⊆
+    C·core element by element.  The scan then draws no further cell; an
+    element left after the last cell raises CertificateError(failure).
+    """
+    mul, inv = target.parent.mul, target.parent.inv
+    remaining = set(target.members)
+    witnesses = []
+    cells = iter(cells)
+    while remaining:
+        cell = next(cells, None)
+        if cell is None:
+            raise CertificateError(failure)
+        hit = remaining.intersection(cell)
+        if hit:
+            c = min(hit)
+            witnesses.append(c)
+            ci = inv(c)
+            remaining -= {w for w in hit if mul(ci, w) in core.members}
+    return GSet(target.parent, witnesses, _reduced=True)
+
+
 @dataclass(frozen=True)
 class SlicingCover:
     """A^m intersect B^n covered by translates of A^2 intersect B^2."""
@@ -155,7 +180,8 @@ def slicing_cover(
 
     Every element lies in some u*A with u from X_A^{m-1} and some v*B with v
     from X_B^{n-1}; two elements of the same (u, v) slice differ by an element
-    of A^2 ∩ B^2, so one witness per nonempty slice covers everything.
+    of A^2 ∩ B^2, so one witness per nonempty slice covers everything, and
+    the scan that picks the witnesses is the proof.
     """
     budget = resolve_budget(budget)
     if m < 1 or n < 1:
@@ -163,38 +189,17 @@ def slicing_cover(
     A, B = certA.aset, certB.aset
     if A.parent != B.parent:
         raise ParentMismatch("slicing needs a common parent")
-    Am = power(A, m, budget)
-    Bn = power(B, n, budget)
-    target = Am.intersection(Bn)
+    target = power(A, m, budget).intersection(power(B, n, budget))
     core = power(A, 2, budget).intersection(power(B, 2, budget))
     XA = power(certA.witness, m - 1, budget)
     XB = power(certB.witness, n - 1, budget)
     bound = certA.K_upper ** (m - 1) * certB.K_upper ** (n - 1)
-    witnesses = []
-    remaining = set(target.members)
-    mul, inv, left_row = A.parent.mul, A.parent.inv, A.parent.left_row
-    for u in XA.sorted_members():
-        if not remaining:
-            break
-        uA = frozenset(left_row(u, A.members))
-        for v in XB.sorted_members():
-            if not remaining:
-                break
-            slice_members = remaining & uA
-            if not slice_members:
-                continue
-            vB = frozenset(left_row(v, B.members))
-            slice_members = slice_members & vB
-            if not slice_members:
-                continue
-            c = min(slice_members)
-            witnesses.append(c)
-            ci = inv(c)
-            remaining -= {w for w in slice_members if mul(ci, w) in core.members}
-    translates = GSet(A.parent, witnesses, _reduced=True)
-    covered = product(translates, core, budget)
-    if not target <= covered:
-        raise CertificateError("slicing cover failed exact verification")
+    left_row = A.parent.left_row
+    rows_B = [frozenset(left_row(v, B.members)) for v in XB.sorted_members()]
+    cells = (uA.intersection(vB)
+             for uA in (frozenset(left_row(u, A.members)) for u in XA.sorted_members())
+             for vB in rows_B)
+    translates = _slice_scan(target, cells, core, "slicing cover failed exact verification")
     if len(translates) > bound:
         raise CertificateError("slicing cover exceeded its bound")
     return SlicingCover(target, core, translates, bound)
@@ -226,23 +231,9 @@ def predicate_slice_certificate(
     A = cert.aset
     slice_set = power(A, 2, budget).filter(member)
     T = power(A, 4, budget).filter(member)
-    mul, left_row = A.parent.mul, A.parent.left_row
-    witnesses = []
-    remaining = set(T.members)
-    for u in power(cert.witness, 3, budget).sorted_members():
-        if not remaining:
-            break
-        uA = frozenset(left_row(u, A.members))
-        hit = remaining & uA
-        if not hit:
-            continue
-        c = min(hit)
-        witnesses.append(c)
-        ci = A.parent.inv(c)
-        remaining -= {w for w in hit if mul(ci, w) in slice_set.members}
-    if remaining:
-        raise CertificateError("slice cover left elements exposed")
-    C = GSet(A.parent, witnesses, _reduced=True)
+    left_row = A.parent.left_row
+    cells = (left_row(u, A.members) for u in power(cert.witness, 3, budget).sorted_members())
+    C = _slice_scan(T, cells, slice_set, "slice cover left elements exposed")
     if len(C) > cert.K_upper ** 3:
         raise CertificateError("slice witness exceeded K^3")
     if len(slice_set) ** 2 > budget:
@@ -268,27 +259,21 @@ class FibreCover:
 
 
 def fibre_cover(A: GSet, H: SubgroupHandle, max_cosets: int, budget: int | None = None) -> FibreCover:
-    """Pigeonhole A through at most max_cosets left cosets of H."""
+    """Pigeonhole A through at most max_cosets left cosets of H; the scan
+    over a*H, a in A, picks the least member of A in each coset and is the proof."""
     budget = resolve_budget(budget)
     if H.parent != A.parent:
         raise ParentMismatch("subgroup lives elsewhere")
     pairs = len(A) * len(H.elements)
     if pairs > budget:
         raise BudgetExceeded("fibre_cover", pairs, budget)
+    core = product(inverse_set(A), A, budget).intersection(H.elements)
     left_row = A.parent.left_row
-    buckets: dict[tuple, list] = {}
-    for a in A.sorted_members():
-        key = min(left_row(a, H.elements.members))
-        buckets.setdefault(key, []).append(a)
-    if len(buckets) > max_cosets:
-        raise CosetCountExceeded(f"{len(buckets)} cosets met, allowed {max_cosets}")
-    reps = [members[0] for members in buckets.values()]
-    diff = product(inverse_set(A), A, budget)
-    core = diff.intersection(H.elements)
-    covered = product(GSet(A.parent, reps, _reduced=True), core, budget)
-    if not A <= covered:
-        raise CertificateError("fibre cover failed exact verification")
-    return FibreCover(A, GSet(A.parent, reps, _reduced=True), core)
+    cells = (left_row(a, H.elements.members) for a in A.sorted_members())
+    reps = _slice_scan(A, cells, core, "fibre cover failed exact verification")
+    if len(reps) > max_cosets:
+        raise CosetCountExceeded(f"{len(reps)} cosets met, allowed {max_cosets}")
+    return FibreCover(A, reps, core)
 
 
 # --------------------------------------------------------------------------

@@ -124,10 +124,13 @@ def _prog_spec(args) -> ProgressionSpec:
 
 
 def _cmd_prog(args) -> int:
-    spec = _prog_spec(args)  # bad generators or bounds exit 2 before any scenario runs
+    spec = _prog_spec(args)  # bad generators, bounds or step exit 2 before any scenario runs
     if args.action == "build":
         P = ordered_progression(spec, resolve_budget(args.budget))
         return _emit_set(P, args)
+    top = spec.parent.structural_step
+    if args.step is not None and args.step > top:
+        raise FormatError(f"--step {args.step} is above the structural step {top}")
     ops = ({"op": "chain", "gens": args.gens, "bounds": args.bounds, **_given(step=args.step)},)
     return _scenario_run("prog-verify", f"ball {args.group} radius=0", ops, args)
 

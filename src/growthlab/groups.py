@@ -75,9 +75,6 @@ class GroupDescriptor:
         return [zeros[:k] + (1,) + zeros[k + 1:] for k in self.abelian_coords if moduli[k] != 1]
 
     # convenience wrappers over Element
-    def identity(self) -> "Element":
-        return Element(self, self.identity_coords())
-
     def element(self, coords) -> "Element":
         return Element(self, self.reduce(tuple(coords)))
 

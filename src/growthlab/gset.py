@@ -263,10 +263,20 @@ class GrowthStats:
 
 
 def growth_stats(A: GSet, n: int, budget: int | None = None) -> GrowthStats:
+    """|A^1|, ..., |A^n| from the power walk, keeping only the sizes; the
+    elements of all the powers it yields count together against the budget."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     if not A.contains_identity():
         warnings.warn("growth_stats: 1 is not in A; power sizes need not be monotone")
-    chain = power_chain(A, n, budget)
-    sizes = tuple(len(S) for S in chain)
+    budget = resolve_budget(budget)
+    sizes, held = [], 0
+    for S in _stable_powers(A, n, budget):
+        held += len(S)
+        if held > budget:
+            raise BudgetExceeded("growth_stats", held, budget)
+        sizes.append(len(S))
+    sizes = tuple(sizes + sizes[-1:] * (n - len(sizes)))
     doubling = Fraction(sizes[1], sizes[0]) if n >= 2 else None
     tripling = Fraction(sizes[2], sizes[0]) if n >= 3 else None
     return GrowthStats(sizes, doubling, tripling)

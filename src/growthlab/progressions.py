@@ -149,8 +149,8 @@ def hall_basis(rank: int, step: int, budget: int | None = None) -> list:
     u = [p, q] also q <= v.  Weight-1 terms are the generators themselves.
     Terms are ordered by weight, then by their encoding (generator i is
     (0, i), a bracket is (1, enc u, enc v)); each key is built once, from
-    its parts' keys.  The candidate pairs (u, v) are counted against the
-    budget before they are enumerated.
+    its parts' keys.  The candidate pairs (u, v) of each weight split, at
+    least 1, are counted against the budget before they are enumerated.
     """
     if rank < 0 or step < 1:
         raise ValueError("need rank >= 0 and step >= 1")
@@ -162,7 +162,7 @@ def hall_basis(rank: int, step: int, budget: int | None = None) -> list:
         fresh = []
         for wu in range(1, w):
             us, vs = by_weight[wu], by_weight[w - wu]
-            pairs += len(us) * len(vs)
+            pairs += max(len(us) * len(vs), 1)
             if pairs > budget:
                 raise BudgetExceeded("hall_basis", pairs, budget)
             for ku, u, kq in us:

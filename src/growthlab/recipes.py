@@ -104,6 +104,8 @@ def _interval(parent, L: int, budget: int) -> GSet:
 
 def _progression(parent, recipe: Recipe, budget: int) -> GSet:
     gens = tuple(Element(parent, c) for c in _coords_param(parent, recipe, "gens"))
+    if not gens:
+        raise RecipeError("progression needs at least one generator")
     text = recipe.get("bounds")
     try:
         bounds = tuple(int(b) for b in text.split(",") if b.strip())
@@ -118,6 +120,8 @@ def _progression(parent, recipe: Recipe, budget: int) -> GSet:
 
 def _coset_union(parent, recipe: Recipe, budget: int) -> GSet:
     sub = [Element(parent, c) for c in _coords_param(parent, recipe, "sub")]
+    if not sub:
+        raise RecipeError("coset-union needs at least one subgroup generator")
     reps = GSet(parent, _coords_param(parent, recipe, "reps"))
     H = span(sub, budget)
     from .gset import product  # local import keeps module deps one-way

@@ -332,6 +332,8 @@ def _op_chain(state, params, budget):
     except ValueError as e:  # coordinates of the wrong arity, bounds that do not match
         raise FormatError(f"op 'chain': {e}")
     step = params["step"]
+    if step is not None and step > parent.structural_step:
+        raise FormatError(f"op 'chain': step {step} is above the structural step {parent.structural_step}")
     cc = verify_chain(spec, step, budget)
     return {
         "rank": spec.rank,
@@ -579,12 +581,7 @@ _HARD_KEYS = (
     "image_within_source",
     "inside_body",
     "k8_bound_ok",
-    "defect1_ok",
-    "defect2_ok",
-    "ok",
-    "step_drop_verified",
     "h_normal",
-    "verified",
 )
 
 

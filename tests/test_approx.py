@@ -2,7 +2,10 @@
 
 A slice certificate is proved by its own translate scan and never builds
 C·S; `ref_slice_certificate` is the plain scan followed by `certify`, and a
-hypothesis property pins the fast path to it.
+hypothesis property pins the fast path to it.  The slicing and fibre covers
+share that scan and never multiply out their cores; `ref_slicing_cover` and
+`ref_fibre_cover` are the plain double loop and coset buckets followed by
+that product, and hypothesis properties pin both covers to them.
 """
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from growthlab import (
     BudgetExceeded,
     CertificateError,
+    CosetCountExceeded,
     Element,
     FiniteAbelian,
     GSet,
@@ -27,16 +31,20 @@ from growthlab import (
     growth_law,
     heisenberg,
     image_certificate,
+    inverse_set,
     is_centred_triple_hom,
     normal_closure,
     power,
     predicate_slice_certificate,
+    product,
     slicing_cover,
     span,
     sumset_growth_table,
     symmetrize,
 )
+from growthlab.approx import _slice_scan
 from growthlab.recipes import generate_example
+from growthlab.textio import parse_group
 
 Z101 = FiniteAbelian((101,))
 
@@ -324,3 +332,141 @@ def test_slice_certificate_matches_certify_on_the_scan_witness(case):
     # it does return is certify's.
     if subgroup or got is not CertificateError:
         assert got == expected
+
+
+# --------------------------------------------------------------------------
+# Slicing and fibre covers against the plain loops and a multiplied-out check
+
+
+def _plain_power(S, m):
+    G = S.parent
+    out = {G.identity_coords()}
+    for _ in range(m):
+        out = {G.mul(x, a) for x in out for a in S.members}
+    return GSet(G, out, _reduced=True)
+
+
+def ref_slicing_cover(certA, certB, m, n):
+    """The (u, v) double loop, then target ⊆ translates·core by `product`."""
+    A, B = certA.aset, certB.aset
+    G = A.parent
+    mul, inv = G.mul, G.inv
+    target = _plain_power(A, m).intersection(_plain_power(B, n))
+    core = _plain_power(A, 2).intersection(_plain_power(B, 2))
+    remaining = set(target.members)
+    witnesses = []
+    for u in _plain_power(certA.witness, m - 1).sorted_members():
+        uA = {mul(u, a) for a in A.members}
+        for v in _plain_power(certB.witness, n - 1).sorted_members():
+            hit = remaining & uA & {mul(v, b) for b in B.members}
+            if hit:
+                c = min(hit)
+                witnesses.append(c)
+                remaining -= {w for w in hit if mul(inv(c), w) in core.members}
+    translates = GSet(G, witnesses, _reduced=True)
+    if not target <= product(translates, core):
+        return CertificateError
+    if len(translates) > certA.K_upper ** (m - 1) * certB.K_upper ** (n - 1):
+        return CertificateError
+    return target, core, translates
+
+
+def ref_fibre_cover(A, H, max_cosets):
+    """Bucket A by left coset of H, then A ⊆ reps·(A⁻¹A ∩ H) by `product`."""
+    G = A.parent
+    buckets = {}
+    for a in A.sorted_members():
+        key = min(G.mul(a, h) for h in H.elements.members)
+        buckets.setdefault(key, []).append(a)
+    if len(buckets) > max_cosets:
+        return CosetCountExceeded
+    reps = GSet(G, [members[0] for members in buckets.values()], _reduced=True)
+    core = product(inverse_set(A), A).intersection(H.elements)
+    if not A <= product(reps, core):
+        return CertificateError
+    return reps, core
+
+
+_COVER_GROUPS = [parse_group(t) for t in ("ab:7", "ab:12", "ut:3:3", "ut:3:5", "prod:(ab:4);(ut:3:2)")]
+_COVER_POOLS = {G: sorted(G.iter_coords()) for G in _COVER_GROUPS}
+
+
+@st.composite
+def _drawn_cert(draw, G):
+    """A symmetric A ∋ 1 in G and a witness: the greedy one, maybe enlarged
+    by drawn elements of A² (any X ⊇ a witness is one too)."""
+    pool = _COVER_POOLS[G]
+    A = symmetrize(GSet(G, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)), _reduced=True))
+    cert = greedy_cover_certificate(A)
+    extra = draw(st.lists(st.sampled_from(sorted(power(A, 2).members)), max_size=3))
+    if not extra:
+        return cert
+    return certify(A, GSet(G, set(cert.witness.members) | set(extra), _reduced=True))
+
+
+@st.composite
+def _slicing_case(draw):
+    G = draw(st.sampled_from(_COVER_GROUPS))
+    return draw(_drawn_cert(G)), draw(_drawn_cert(G)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_slicing_case())
+def test_slicing_cover_matches_the_double_loop_and_the_product_check(case):
+    certA, certB, m, n = case
+    expected = ref_slicing_cover(certA, certB, m, n)
+    try:
+        sc = slicing_cover(certA, certB, m, n)
+        got = sc.target, sc.core, sc.translates
+    except CertificateError:
+        got = CertificateError
+    assert got == expected
+
+
+@st.composite
+def _fibre_case(draw):
+    G = draw(st.sampled_from(_COVER_GROUPS))
+    pool = _COVER_POOLS[G]
+    A = symmetrize(GSet(G, draw(st.lists(st.sampled_from(pool), max_size=4)), _reduced=True))
+    H = span([Element(G, c) for c in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))])
+    return A, H, draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fibre_case())
+def test_fibre_cover_matches_the_buckets_and_the_product_check(case):
+    A, H, max_cosets = case
+    expected = ref_fibre_cover(A, H, max_cosets)
+    try:
+        fc = fibre_cover(A, H, max_cosets)
+        got = fc.reps, fc.core
+    except (CertificateError, CosetCountExceeded) as e:
+        got = type(e)
+    assert got == expected
+
+
+def test_slice_scan_refuses_an_element_of_a_cell_outside_its_witness_translate():
+    # No valid slicing certificate reaches this: 5 shares the only cell
+    # with the witness 0, but 0⁻¹·5 = 5 is not in the core {0}.
+    G = FiniteAbelian((101,))
+    target, core = GSet(G, [(0,), (5,)]), GSet(G, [(0,)])
+    with pytest.raises(CertificateError, match="exposed"):
+        _slice_scan(target, [{(0,), (5,)}], core, "exposed")
+    # A later cell that holds 5 makes 5 its own witness.
+    assert _slice_scan(target, [{(0,), (5,)}, {(5,)}], core, "exposed") == target
+
+
+def test_slice_scan_picks_the_least_element_and_draws_no_cell_past_the_cover():
+    G = FiniteAbelian((101,))
+    target = GSet(G, [(0,), (5,)])
+    pulled = []
+
+    def cells():
+        for cell in ({(0,), (5,)}, {(7,)}):
+            pulled.append(cell)
+            yield cell
+
+    assert _slice_scan(target, cells(), target, "exposed").members == {(0,)}
+    assert pulled == [{(0,), (5,)}]
+    assert _slice_scan(GSet(G, []), cells(), target, "exposed") == GSet(G, [])
+    assert len(pulled) == 1

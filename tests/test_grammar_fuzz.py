@@ -117,6 +117,8 @@ def test_parse_group_runs_or_raises_growthlab_error(text):
 @_FUZZ
 @given(_recipe())
 @example("interval ab:0 L=99999999999")  # 2L+1 elements: refused by the budget
+@example("progression ab:101 gens= bounds=")  # no generator
+@example("coset-union ab:12 sub= reps=1")  # no subgroup generator
 def test_recipes_run_or_raise_growthlab_error(text):
     try:
         parse_recipe(text)
@@ -128,6 +130,10 @@ def test_recipes_run_or_raise_growthlab_error(text):
 @_FUZZ
 @given(_scenario_obj())
 @example(None)  # a JSON list of scenarios may hold a non-object
+# A step above the structural step: its chain bound has over 4,300 digits,
+# more than the report's JSON may print.
+@example({"name": "s", "recipe": "ball ab:7 radius=0",
+          "ops": [{"op": "chain", "gens": "1", "bounds": "1", "step": 36}]})
 def test_scenario_files_run_or_raise_growthlab_error(obj):
     try:
         objs = obj if isinstance(obj, list) else [obj]

@@ -142,6 +142,15 @@ def test_hull_progression_counts_hall_pairs_against_budget():
     assert ei.value.op == "hall_basis"
 
 
+def test_hall_basis_counts_every_weight_split_against_budget():
+    # One generator has no basic bracket, so every split has no candidate
+    # pair; each still counts, or step 4,000 loops 8 M times at any budget.
+    with pytest.raises(BudgetExceeded) as ei:
+        hall_basis(1, 4000, budget=2000)
+    assert (ei.value.op, ei.value.needed) == ("hall_basis", 2001)
+    assert hall_basis(1, 63, budget=2000) == [0]
+
+
 def test_term_text():
     basis = hall_basis(2, 3)
     rendered = {term_text(t) for t in basis}

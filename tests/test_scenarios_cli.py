@@ -324,6 +324,28 @@ def test_chain_op_and_prog_refuse_mismatched_generators(capsys):
         assert "FormatError" in capsys.readouterr().err
 
 
+def test_chain_step_above_the_structural_step_exits_two(capsys):
+    # ab:7 has step 1; a step of 36 gave a chain bound too long to print.
+    for step in ("36", "99999999999"):
+        argv = ["prog", "verify", "ab:7", "--gens", "1", "--bounds", "1", "--step", step]
+        assert main(argv) == 2
+        assert "FormatError: --step" in capsys.readouterr().err
+    rec = run_scenario(
+        Scenario("s", "ball ab:7 radius=0", ({"op": "chain", "gens": "1", "bounds": "1", "step": 36},))
+    ).records[0]
+    assert rec["passed"] is False and rec["error"].startswith("FormatError")
+    assert main(["prog", "verify", "ut:3:0", "--gens", "1,0,0|0,0,1", "--bounds", "1,1", "--step", "2"]) == 0
+
+
+def test_stats_counts_every_power_it_reads_against_the_budget(capsys):
+    # 2,000 powers of {-1, 0, 1} in Z hold about 4 M elements; each alone
+    # is within the budget.
+    assert main(["stats", "interval", "ab:0", "L=1", "-n", "2000", "--budget", "20000"]) == 2
+    assert "BudgetExceeded: growth_stats" in capsys.readouterr().err
+    assert main(["stats", "interval", "ab:0", "L=1", "-n", "140", "--budget", "20000"]) == 0
+    assert json.loads(capsys.readouterr().out)["records"][0]["sizes"][-1] == 281
+
+
 def test_cli_malformed_env_budget_exit_two(monkeypatch, capsys):
     monkeypatch.setenv("GROWTHLAB_BUDGET", "abc")
     assert main(["certify", "interval", "ab:101", "L=10"]) == 2
@@ -387,8 +409,18 @@ def test_least_budget_script_bisects_and_refuses_bad_arguments():
     run = _script("least_budget.py", "random-symmetric", "ut:3:3", "size=5", "seed=0", "--op", "decompose")
     assert run.returncode == 0, run.stderr
     assert run.stdout == "169\n"
+    # the first slice op of the builtin suite's slicing-00
+    run = _script("least_budget.py", "random-symmetric", "ab:101", "size=9", "seed=13000", "--op", "slice:2,2",
+                  "--by", "random-symmetric", "ab:101", "size=5", "seed=14000")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "72\n"
     for args, message in ((["ball", "ut:3:3", "radius=1", "--op", "ruzsa"], "invalid choice: 'ruzsa'"),
-                          (["ball", "ut:3:3", "--op", "decompose"], "needs parameter 'radius'")):
+                          (["ball", "ut:3:3", "--op", "decompose"], "needs parameter 'radius'"),
+                          (["ball", "ut:3:3", "radius=1", "--op", "slice:2,0", "--by", "ball", "ut:3:3", "radius=1"],
+                           "slice needs two powers of at least 1"),
+                          (["ball", "ut:3:3", "radius=1", "--op", "slice:2,2"], "--by is needed"),
+                          (["ball", "ut:3:3", "radius=1", "--op", "decompose", "--by", "ball", "ut:3:3", "radius=1"],
+                           "--by is needed")):
         run = _script("least_budget.py", *args)
         assert run.returncode == 2
         assert message in run.stderr
