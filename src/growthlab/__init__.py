@@ -9,14 +9,12 @@ fail loudly instead of thrashing.
 """
 from .approx import (
     ApproxCertificate,
-    FibreCover,
     GrowthRow,
     PartialMap,
     SlicingCover,
     SumsetRow,
     certify,
     doubling_constant,
-    fibre_cover,
     greedy_cover_certificate,
     growth_law,
     image_certificate,

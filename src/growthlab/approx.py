@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import resolve_budget
-from .errors import (BudgetExceeded, CertificateError, CosetCountExceeded,
-                     NotAbelian, ParentMismatch)
+from .errors import BudgetExceeded, CertificateError, NotAbelian, ParentMismatch
 from .gset import GSet, inverse_set, power, power_chain, product
-from .subgroups import SubgroupHandle
 
 
 @dataclass(frozen=True)
@@ -243,37 +241,6 @@ def predicate_slice_certificate(
         missing = len(square.members - T.members)
         raise CertificateError(f"slice square leaves A^4 ∩ H ({missing} elements exposed)")
     return ApproxCertificate(slice_set, C, len(square))
-
-
-# --------------------------------------------------------------------------
-# Fibre pigeonhole
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FibreCover:
-    """A inside R * (A^{-1}A ∩ H) with one representative per coset met."""
-
-    aset: GSet
-    reps: GSet
-    core: GSet
-
-
-def fibre_cover(A: GSet, H: SubgroupHandle, max_cosets: int, budget: int | None = None) -> FibreCover:
-    """Pigeonhole A through at most max_cosets left cosets of H; the scan
-    over a*H, a in A, picks the least member of A in each coset and is the proof."""
-    budget = resolve_budget(budget)
-    if H.parent != A.parent:
-        raise ParentMismatch("subgroup lives elsewhere")
-    pairs = len(A) * len(H.elements)
-    if pairs > budget:
-        raise BudgetExceeded("fibre_cover", pairs, budget)
-    core = product(inverse_set(A), A, budget).intersection(H.elements)
-    left_row = A.parent.left_row
-    cells = (left_row(a, H.elements.members) for a in A.sorted_members())
-    reps = _slice_scan(A, cells, core, "fibre cover failed exact verification")
-    if len(reps) > max_cosets:
-        raise CosetCountExceeded(f"{len(reps)} cosets met, allowed {max_cosets}")
-    return FibreCover(A, reps, core)
 
 
 # --------------------------------------------------------------------------

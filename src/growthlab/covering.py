@@ -78,7 +78,8 @@ def _disjoint_translates(A: GSet, B: GSet, budget: int) -> list[tuple]:
     """Greedy maximal subset of A whose left-translates of B are pairwise disjoint.
 
     The scan computes a·B for every a in A, so |A|·|B| past the budget
-    raises BudgetExceeded before it starts.
+    raises BudgetExceeded before it starts.  `chang_cover`'s stages read only
+    the kept list; `ruzsa_cover` runs the same scan and also counts A·B.
     """
     pairs = len(A) * len(B)
     if pairs > budget:
@@ -105,17 +106,36 @@ class RuzsaCover:
 
 
 def ruzsa_cover(A: GSet, B: GSet, budget: int | None = None) -> RuzsaCover:
-    """Greedy disjoint-translate cover: A inside X*B*B^{-1} with |X| <= ceil(|AB|/|B|)."""
+    """Greedy disjoint-translate cover: A inside X*B*B^{-1} with |X| <= ceil(|AB|/|B|).
+
+    |A·B| comes from the scan: the kept translates fill `occupied`, and
+    `rest` holds every other element met, none occupied, so the scan holds
+    A·B once.  `product`'s budget checks stand: |A|·|B| pairs before the
+    scan, |A·B| after it.
+    """
     budget = resolve_budget(budget)
     if A.parent != B.parent:
         raise ParentMismatch("cover needs a common parent")
     if len(A) == 0 or len(B) == 0:
         raise ValueError("cover of/by the empty set")
-    # Only |AB| is kept: building AB first makes an input past the budget
-    # fail before the translate scan starts, and dropping it at once keeps
-    # AB and the scan's occupied set from being held together.
-    ab_size = len(product(A, B, budget))
-    X = GSet(A.parent, _disjoint_translates(A, B, budget), _reduced=True)
+    pairs = len(A) * len(B)
+    if pairs > budget:
+        raise BudgetExceeded("product", pairs, budget)
+    left_row = A.parent.left_row
+    kept, occupied, rest = [], set(), set()
+    for a in A.sorted_members():
+        aB = left_row(a, B.members)
+        if any(w in occupied for w in aB):
+            rest.update(w for w in aB if w not in occupied)
+        else:
+            kept.append(a)
+            occupied.update(aB)
+            rest.difference_update(aB)
+    ab_size = len(occupied) + len(rest)
+    if ab_size > budget:
+        raise BudgetExceeded("product", ab_size, budget)
+    del occupied, rest  # freed before the witness scan may build X·B
+    X = GSet(A.parent, kept, _reduced=True)
     ratio_bound = -(-ab_size // len(B))
     if len(X) > ratio_bound:
         raise CertificateError("disjoint family exceeds |AB|/|B|; scan is broken")

@@ -345,31 +345,13 @@ def abelian_factorization(
     stay finite.
     """
     budget = resolve_budget(budget)
-    step = step_of_generated(list(cert.aset.elements()), budget)
-    return _factorize(cert, rank_max, budget, step)[0]
-
-
-def _factorize(cert: ApproxCertificate, rank_max: int, budget: int, step: int):
-    """abelian_factorization of a set whose step is known.
-
-    Also returns one fibre predicate per factor (π⁻¹(H) first, then
-    π⁻¹(⟨x_i⟩)).  The predicates look π(c) up in a table built once over
-    A²⁴, which holds every power of A up to 24 because 1 ∈ A.
-    """
     A = cert.aset
+    step = step_of_generated(list(A.elements()), budget)
     if step < 2:
         raise StepTooLow(f"factorization needs step >= 2, got {step}")
-    proj = abelianization(A.parent)
-    Abar = proj.image(A)
-    res = find_coset_progression(Abar, rank_max=rank_max, budget=budget)
     chain = power_chain(A, 24, budget)
     A18, A24 = chain[17], chain[23]
-    pi = proj.table(A24.members)
-    H_members = res.best.H.elements.members
-    fibres = [lambda c: pi[c] in H_members]
-    for x in res.best.generators:
-        in_x = _cyclic_membership(proj.codomain, x.coords, budget)
-        fibres.append(lambda c, in_x=in_x: in_x(pi[c]))
+    res, proj, fibres = _fibres(cert, rank_max, budget, A24)
     H_part = A18.filter(fibres[0])
     parts = [A24.filter(f) for f in fibres[1:]]
     product_size = density = None
@@ -379,8 +361,25 @@ def _factorize(cert: ApproxCertificate, rank_max: int, budget: int, step: int):
             prod = product(prod, part, budget)
         product_size = len(prod)
         density = Fraction(product_size, len(A))
-    fac = Factorization(H_part, tuple(parts), product_size, density, res, proj, step)
-    return fac, fibres
+    return Factorization(H_part, tuple(parts), product_size, density, res, proj, step)
+
+
+def _fibres(cert: ApproxCertificate, rank_max: int, budget: int, over: GSet):
+    """The oracle result on π(A), the projection π and the fibre predicates.
+
+    One predicate per factor, π⁻¹(H) first, then π⁻¹(⟨x_i⟩).  They look
+    π(c) up in a table built once over the members of `over`, so they
+    answer only for those.
+    """
+    proj = abelianization(cert.aset.parent)
+    res = find_coset_progression(proj.image(cert.aset), rank_max=rank_max, budget=budget)
+    pi = proj.table(over.members)
+    H_members = res.best.H.elements.members
+    fibres = [lambda c: pi[c] in H_members]
+    for x in res.best.generators:
+        in_x = _cyclic_membership(proj.codomain, x.coords, budget)
+        fibres.append(lambda c, in_x=in_x: in_x(pi[c]))
+    return res, proj, fibres
 
 
 # --------------------------------------------------------------------------
@@ -444,7 +443,7 @@ def step_reduction(
 ) -> StepReduction:
     """Split Ã ⊆ A^m into slice factors whose images drop in step.
 
-    The factorization's fibre data selects the slices A_0 = Ã² ∩ π⁻¹(H) and
+    The oracle's fibres over π(Ã) select the slices A_0 = Ã² ∩ π⁻¹(H) and
     A_i = Ã² ∩ π⁻¹(⟨x_i⟩); N is the normal closure (under A) of the s̃-fold
     left-normed commutators of generators of π⁻¹(H); each factor's image in
     the quotient by N is verified to generate a group of strictly smaller
@@ -497,11 +496,12 @@ def _reduce_step(
         red = StepReduction(trivial_N, 0, 1, (cert,), step, None, len(A_t))
         return red, [A_t], [step], A_t
 
-    fac, fibres = _factorize(cert, rank_max, budget, step)
-    proj = fac.projection
+    # The slice certificates ask the predicates only about members of A² and
+    # A⁴, and A² ⊆ A⁴ because 1 ∈ A, so π is tabled over A⁴.
+    res, proj, fibres = _fibres(cert, rank_max, budget, power(A_t, 4, budget))
     factors = [predicate_slice_certificate(cert, member, budget) for member in fibres]
 
-    lifted = [proj.section_element(h.coords) for h in fac.oracle.best.H.gen_elements()]
+    lifted = [proj.section_element(h.coords) for h in res.best.H.gen_elements()]
     g0_gens = lifted + [Element(parent, g.coords) for g in proj.kernel_gens]
     gamma = _commutator_levels(parent, g0_gens, step, budget, "step_reduction")[-1]
     amb_elems = list(ambient.aset.elements())

@@ -6,7 +6,7 @@ BudgetExceeded rather than looping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import resolve_budget
 from .errors import BudgetExceeded, NotNilpotent, ParentMismatch
@@ -19,10 +19,11 @@ class SubgroupHandle:
     """An enumerated subgroup with an optional normality verdict.
 
     What `generators` holds depends on the constructor.  From `span` and from
-    the oracle's H = 2A−2A shortcut they generate the subgroup.  From
-    `normal_closure` they are the seeds it was grown from, which generate it
-    only as a normal subgroup, together with their conjugates.  Empty means
-    none were kept, and `gen_elements` then lists every element.
+    the oracle's H = 2A−2A shortcut they generate the subgroup as a group,
+    and `check_normal` conjugates only them.  From `normal_closure` (a
+    `_NormalClosure`) they are the seeds it was grown from, which generate
+    it only as a normal subgroup, together with their conjugates.  Empty
+    means none were kept, and `gen_elements` then lists every element.
 
     is_normal is a tri-state: True once conjugation-stability has been
     verified against a generating set of conjugators (which implies
@@ -48,6 +49,10 @@ class SubgroupHandle:
         if self.generators:
             return list(self.generators)
         return list(self.elements.elements())
+
+
+class _NormalClosure(SubgroupHandle):
+    """A `normal_closure` handle: its generators are normal generators only."""
 
 
 def _gen_list(gens) -> list[Element]:
@@ -151,7 +156,7 @@ def normal_closure(H, conj_gens, budget: int | None = None) -> SubgroupHandle:
             w = mul(mul(g, h), gi)
             if w not in members:
                 _adjoin(parent, members, gens, (w,), budget, "normal_closure")
-    return SubgroupHandle(
+    return _NormalClosure(
         parent,
         GSet(parent, members, _reduced=True),
         generators=tuple(sorted(pool)),
@@ -175,18 +180,26 @@ def derived_subgroup(G_gens, budget: int | None = None) -> SubgroupHandle:
 def check_normal(H: SubgroupHandle, conj_gens, budget: int | None = None) -> SubgroupHandle:
     """Return a copy of H with its normality verdict against conj_gens filled in.
 
+    For a set S that generates H as a group, gHg⁻¹ ⊆ H exactly when
+    gSg⁻¹ ⊆ H: conjugation is an automorphism and H is closed.  S is H's
+    generators, except in a `normal_closure` handle, whose generators are
+    normal generators only, and in one that kept none: there S is all of H.
     H is finite, so conjugating by one g of each pair {g, g⁻¹} decides both.
     """
     parent = H.parent
     members = H.elements.members
     left_row, right_row, inv = parent.left_row, parent.right_row, parent.inv
+    if H.generators and not isinstance(H, _NormalClosure):
+        S = [g.coords for g in H.generators]
+    else:
+        S = members
     conj = _conjugators(parent, {g.coords for g in _gen_list(conj_gens)})
-    # g·H·g⁻¹ as two rows, (g·H)·g⁻¹.
+    # g·S·g⁻¹ as two rows, (g·S)·g⁻¹.
     ok = all(
-        members.issuperset(right_row(left_row(g, members), inv(g)))
+        members.issuperset(right_row(left_row(g, S), inv(g)))
         for g in conj
     )
-    return SubgroupHandle(parent, H.elements, H.generators, is_normal=ok)
+    return replace(H, is_normal=ok)
 
 
 def _commutator_levels(parent, gens, depth: int, budget: int, op: str) -> list[set]:

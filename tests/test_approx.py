@@ -2,10 +2,10 @@
 
 A slice certificate is proved by its own translate scan and never builds
 C·S; `ref_slice_certificate` is the plain scan followed by `certify`, and a
-hypothesis property pins the fast path to it.  The slicing and fibre covers
-share that scan and never multiply out their cores; `ref_slicing_cover` and
-`ref_fibre_cover` are the plain double loop and coset buckets followed by
-that product, and hypothesis properties pin both covers to them.
+hypothesis property pins the fast path to it.  The slicing cover shares that
+scan and never multiplies out its core; `ref_slicing_cover` is the plain
+double loop followed by that product, and a hypothesis property pins the
+cover to it.
 """
 from fractions import Fraction
 
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from growthlab import (
     BudgetExceeded,
     CertificateError,
-    CosetCountExceeded,
     Element,
     FiniteAbelian,
     GSet,
@@ -26,12 +25,10 @@ from growthlab import (
     Unitriangular,
     certify,
     doubling_constant,
-    fibre_cover,
     greedy_cover_certificate,
     growth_law,
     heisenberg,
     image_certificate,
-    inverse_set,
     is_centred_triple_hom,
     normal_closure,
     power,
@@ -144,25 +141,6 @@ def test_slice_certificate_keeps_the_square_guard():
         predicate_slice_certificate(cert, lambda c: True, n - 1)
     assert (ei.value.op, ei.value.needed) == ("product", n)
     assert predicate_slice_certificate(cert, lambda c: True, n).aset == A2
-
-
-def test_fibre_cover_pigeonhole():
-    parent = FiniteAbelian((12, 12))
-    A = symmetrize(GSet(parent, [(1, 0), (0, 1), (4, 2)], _reduced=True))
-    H = span([Element(parent, (4, 0)), Element(parent, (0, 4))])
-    fc = fibre_cover(A, H, max_cosets=16)
-    assert len(fc.reps) <= 16
-    assert fc.core.is_symmetric()
-
-
-def test_fibre_cover_honours_budget():
-    parent = FiniteAbelian((12, 12))
-    A = symmetrize(GSet(parent, [(1, 0), (0, 1), (4, 2)], _reduced=True))
-    H = span([Element(parent, (4, 0)), Element(parent, (0, 4))])
-    with pytest.raises(BudgetExceeded) as err:
-        fibre_cover(A, H, max_cosets=16, budget=62)  # keying costs |A|·|H| = 7·9 pairs
-    assert (err.value.op, err.value.needed) == ("fibre_cover", 63)
-    assert len(fibre_cover(A, H, max_cosets=16, budget=63).reps) <= 16
 
 
 def test_sumset_growth_table():
@@ -371,22 +349,6 @@ def ref_slicing_cover(certA, certB, m, n):
     return target, core, translates
 
 
-def ref_fibre_cover(A, H, max_cosets):
-    """Bucket A by left coset of H, then A ⊆ reps·(A⁻¹A ∩ H) by `product`."""
-    G = A.parent
-    buckets = {}
-    for a in A.sorted_members():
-        key = min(G.mul(a, h) for h in H.elements.members)
-        buckets.setdefault(key, []).append(a)
-    if len(buckets) > max_cosets:
-        return CosetCountExceeded
-    reps = GSet(G, [members[0] for members in buckets.values()], _reduced=True)
-    core = product(inverse_set(A), A).intersection(H.elements)
-    if not A <= product(reps, core):
-        return CertificateError
-    return reps, core
-
-
 _COVER_GROUPS = [parse_group(t) for t in ("ab:7", "ab:12", "ut:3:3", "ut:3:5", "prod:(ab:4);(ut:3:2)")]
 _COVER_POOLS = {G: sorted(G.iter_coords()) for G in _COVER_GROUPS}
 
@@ -420,28 +382,6 @@ def test_slicing_cover_matches_the_double_loop_and_the_product_check(case):
         got = sc.target, sc.core, sc.translates
     except CertificateError:
         got = CertificateError
-    assert got == expected
-
-
-@st.composite
-def _fibre_case(draw):
-    G = draw(st.sampled_from(_COVER_GROUPS))
-    pool = _COVER_POOLS[G]
-    A = symmetrize(GSet(G, draw(st.lists(st.sampled_from(pool), max_size=4)), _reduced=True))
-    H = span([Element(G, c) for c in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))])
-    return A, H, draw(st.integers(1, 8))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_fibre_case())
-def test_fibre_cover_matches_the_buckets_and_the_product_check(case):
-    A, H, max_cosets = case
-    expected = ref_fibre_cover(A, H, max_cosets)
-    try:
-        fc = fibre_cover(A, H, max_cosets)
-        got = fc.reps, fc.core
-    except (CertificateError, CosetCountExceeded) as e:
-        got = type(e)
     assert got == expected
 
 

@@ -1,10 +1,10 @@
 """Subgroup closures, cyclic fibres and power chains against plain loops.
 
 `span` grows a subgroup coset by coset, `normal_closure` conjugates only the
-generators it adjoined, and it and `check_normal` conjugate by one element of
-each pair {g, g⁻¹}; the step reduction enumerates each cyclic subgroup
-once per generator (or, where a free coordinate pins the exponent, tests a
-ratio), and `powers` multiplies only the newest layer of a power chain and,
+generators it adjoined, `check_normal` conjugates only the generators of a
+span, and both conjugate by one element of each pair {g, g⁻¹}; the step
+reduction enumerates each cyclic subgroup once per generator (or, where a
+free coordinate pins the exponent, tests a ratio), and `powers` multiplies only the newest layer of a power chain and,
 in a finite parent, replays the layers an earlier walk of the same set built.
 `derived_subgroup`, `QuotientView.is_abelian` and the step take their
 commutators from the one level builder, `iter_coords` is `itertools.product`
@@ -345,6 +345,19 @@ def test_normal_closure_conjugates_what_it_adjoined():
     N = normal_closure([Element(U, e12)], U.generators())
     assert N.elements.members == _normal_closure_loop(U, [e12], U.generator_coords(), 10_000)
     assert N.order() == 8
+
+
+def test_check_normal_conjugates_every_member_of_a_normal_closure():
+    # A normal closure's generators are only its seeds.  In ut:4:2, N grown
+    # from e34 under e23 also holds e24; e12 commutes with e34 but moves e24
+    # out of N, so conjugating the seed alone would call N normal.
+    U = Unitriangular(4, 2)
+    e12, e23, e34 = (1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)
+    N = normal_closure([Element(U, e34)], [Element(U, e23)])
+    assert N.order() == 4 and N.generators == (Element(U, e34),)
+    assert U.mul(U.mul(e12, e34), U.inv(e12)) == e34
+    assert check_normal(N, [Element(U, e12)]).is_normal is False
+    assert check_normal(N, [Element(U, e23)]).is_normal is True
 
 
 def test_closures_of_an_infinite_element_are_bounded():

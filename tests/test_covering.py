@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthlab import (
@@ -21,6 +21,7 @@ from growthlab import (
     power,
     product,
     inverse_set,
+    parse_group,
     ruzsa_cover,
     verify_translate_cover,
 )
@@ -209,6 +210,59 @@ def test_ruzsa_cover_checks_budget_before_scanning(monkeypatch):
         ruzsa_cover(A, A, budget=1000)
     assert (ei.value.op, ei.value.needed, ei.value.budget) == ("product", 36012001, 1000)
     assert rows == []
+
+
+def ref_ruzsa_cover(A, B, budget):
+    """|A·B| from `product`, the greedy disjoint scan over plain sets, then
+    the witness scan; a BudgetExceeded becomes its (op, needed)."""
+    mul = A.parent.mul
+    try:
+        ab_size = len(product(A, B, budget))
+        kept, occupied = [], set()
+        for a in A.sorted_members():
+            aB = {mul(a, b) for b in B.members}
+            if not aB & occupied:
+                kept.append(a)
+                occupied |= aB
+        X = GSet(A.parent, kept, _reduced=True)
+        verify_translate_cover(A, X, B, budget, "ruzsa cover verification")
+    except BudgetExceeded as e:
+        return e.op, e.needed
+    return X, -(-ab_size // len(B)), ab_size
+
+
+_RUZSA_GROUPS = [parse_group(t) for t in ("ab:7", "ab:12", "ut:3:3", "ut:3:5", "prod:(ab:4);(ut:3:2)")]
+_RUZSA_POOLS = {G: sorted(G.iter_coords()) for G in _RUZSA_GROUPS}
+
+
+@st.composite
+def _ruzsa_case(draw):
+    G = draw(st.sampled_from(_RUZSA_GROUPS))
+    sets = st.lists(st.sampled_from(_RUZSA_POOLS[G]), min_size=1, max_size=8)
+    A, B = GSet(G, draw(sets)), GSet(G, draw(sets))
+    # Every check passes at (3|A| + 1)·|B|: |A|·|B| pairs, then the witness
+    # scan's (2|X| + |A|)·|B| elements with X ⊆ A.
+    return A, B, draw(st.integers(1, (3 * len(A) + 1) * len(B)))
+
+
+_Z7 = parse_group("ab:7")
+_SMALL_A = GSet(_Z7, [(0,), (1,), (2,)])  # |A·A| = 5 of |A|·|A| = 9 pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ruzsa_case())
+@example((_SMALL_A, _SMALL_A, 9 - 1))
+@example((_SMALL_A, _SMALL_A, 5 - 1))
+def test_ruzsa_cover_matches_the_product_and_the_plain_scan(case):
+    # The same X and |A·B|, and the same BudgetExceeded op and needed at
+    # every budget, as when A·B was multiplied out for its size.
+    A, B, budget = case
+    try:
+        rc = ruzsa_cover(A, B, budget)
+        got = rc.X, rc.ratio_bound, rc.product_size
+    except BudgetExceeded as e:
+        got = e.op, e.needed
+    assert got == ref_ruzsa_cover(A, B, budget)
 
 
 def test_chang_cover_meters_its_translate_scans():

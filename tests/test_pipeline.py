@@ -50,12 +50,11 @@ from growthlab import (
     pullback_check,
     quotient_project,
     span,
-    step_of_generated,
     step_reduction,
     word_radius_bound,
 )
-from growthlab import oracle
-from growthlab.pipeline import Piece, _factorize, _pigeonhole, _suffix_products
+from growthlab import oracle, pipeline
+from growthlab.pipeline import Piece, _fibres, _pigeonhole, _suffix_products
 from growthlab.recipes import generate_example
 
 H3 = heisenberg(3)
@@ -296,20 +295,20 @@ _SLICE_RECIPES = (
 @pytest.mark.parametrize("recipe", _SLICE_RECIPES)
 def test_slices_with_shared_powers_match_predicate_slices(recipe):
     cert = greedy_cover_certificate(generate_example(recipe))
-    step = step_of_generated(list(cert.aset.elements()))
-    fac, fibres = _factorize(cert, 2, 10**6, step)
-    proj, best = fac.projection, fac.oracle.best
+    res, proj, fibres = _fibres(cert, 2, 10**6, power(cert.aset, 4))
+    best = res.best
     H = best.H.elements.members
     # The predicates as they were: project each element when asked.
     plain = [lambda c: proj.apply(c) in H] + [
         lambda c, x=x: in_cyclic(proj.codomain, x.coords, proj.apply(c))
         for x in best.generators
     ]
+    fac = abelian_factorization(cert, 2, 10**6)
     assert fac.H_part == power(cert.aset, 18).filter(plain[0])
     assert list(fac.cyclic_parts) == [power(cert.aset, 24).filter(p) for p in plain[1:]]
-    # The factorization kept A's walk; the first slice keeps X's.  Each
-    # later call replays both and must equal a call on fresh copies of the
-    # sets, which keep no walk.
+    # A's walk was kept; the first slice keeps X's.  Each later call replays
+    # both and must equal a call on fresh copies of the sets, which keep no
+    # walk.
     assert cert.aset._walk
     G = cert.aset.parent
     for fibre, member in zip(fibres, plain):
@@ -324,6 +323,26 @@ def test_slices_with_shared_powers_match_predicate_slices(recipe):
     if not recipe.startswith("ball ut:4"):
         red = step_reduction(cert, cert, 1, 2)
         assert list(red.factors) == [predicate_slice_certificate(cert, p) for p in plain]
+
+
+@pytest.mark.parametrize("recipe", ("ball ut:3:5 radius=2", "random-symmetric ut:3:7 size=11 seed=17"))
+def test_step_reduction_asks_fibre_predicates_only_about_a4(monkeypatch, recipe):
+    # π is tabled over A⁴ only, so a predicate asked about anything else
+    # would fail on its lookup.  A⁴ is multiplied out here without the walk.
+    cert = greedy_cover_certificate(generate_example(recipe))
+    expected = decompose(cert).to_report()
+    asked = []
+    real = pipeline._fibres
+
+    def spy(cert, rank_max, budget, over):
+        res, proj, fibres = real(cert, rank_max, budget, over)
+        A2 = product(cert.aset, cert.aset)
+        A4 = product(A2, A2).members
+        return res, proj, [lambda c, f=f: asked.append(c in A4) or f(c) for f in fibres]
+
+    monkeypatch.setattr(pipeline, "_fibres", spy)
+    assert decompose(cert).to_report() == expected
+    assert asked and all(asked)
 
 
 def test_slice_recipes_cover_cyclic_fibres():

@@ -427,6 +427,25 @@ def test_least_budget_script_bisects_and_refuses_bad_arguments():
         assert "Traceback" not in run.stderr
 
 
+def test_paired_passes_script_alternates_two_trees_and_refuses_bad_arguments():
+    src = str(ROOT / "src")
+    run = _script("paired_passes.py", src, src, "--workload", "finite-nilpotent", "--rounds", "2")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "finite-nilpotent seed 0: 13 scenarios, 2 rounds of one pass per side"
+    assert [line.split()[0] for line in lines[1:4]] == ["base", "change", "change/base"]
+    assert lines[-1] == "reports identical in every round"
+    for args, message in (([src, src, "--workload", "finite-nilpotent", "--rounds", "0"],
+                           "--rounds must be at least 1, got 0"),
+                          ([src, src, "--workload", "nosuch", "--rounds", "1"], "invalid choice: 'nosuch'"),
+                          ([src, str(ROOT), "--workload", "finite-nilpotent", "--rounds", "1"],
+                           "holds no growthlab package")):
+        run = _script("paired_passes.py", *args)
+        assert run.returncode == 2
+        assert message in run.stderr
+        assert "Traceback" not in run.stderr
+
+
 def test_cli_jobs_below_one_exit_two(capsys):
     assert main(["suite", "sections", "--jobs", "0"]) == 2
     assert "FormatError" in capsys.readouterr().err
