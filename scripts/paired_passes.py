@@ -16,8 +16,9 @@ scenario that raises a library error counts with its error text.
 
 Prints each side's median pass time with its quartiles, the median of the
 per-round ratios change/base with their quartiles, the share of rounds the
-change won, and whether the two sides' reports were identical in every
-round.  Exit 2 means bad arguments.
+change won, the five scenarios with the highest base median latency (each
+side's median and their ratio), and whether the two sides' reports were
+identical in every round.  Exit 2 means bad arguments.
 """
 import argparse
 import gc
@@ -49,18 +50,21 @@ def load_tree(src: pathlib.Path, name: str):
     return mod
 
 
-def one_pass(gl, scenarios) -> tuple[float, str]:
-    """Seconds for one pass, and a digest of its report texts."""
+def one_pass(gl, scenarios) -> tuple[float, str, list[float]]:
+    """Seconds for one pass, a digest of its report texts, and each
+    scenario's seconds."""
     gc.collect()
-    texts = []
+    texts, latencies = [], []
     t0 = time.perf_counter()
     for sc in scenarios:
+        ts = time.perf_counter()
         try:
             texts.append(gl.run_scenario(sc).to_json())
         except gl.GrowthLabError as e:
             texts.append(f"{type(e).__name__}: {e}\n")
+        latencies.append(time.perf_counter() - ts)
     seconds = time.perf_counter() - t0
-    return seconds, hashlib.sha256("".join(texts).encode()).hexdigest()
+    return seconds, hashlib.sha256("".join(texts).encode()).hexdigest(), latencies
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -92,13 +96,15 @@ def main() -> int:
         gl = load_tree(src.resolve(), f"growthlab_{side}")
         sides[side] = (gl, workloads[args.workload](gl, args.seed))
     times = {"base": [], "change": []}
+    latencies = {"base": [], "change": []}  # one list of per-scenario seconds per round
     differ = 0
     for r in range(args.rounds):
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
         digests = {}
         for side in order:
-            seconds, digests[side] = one_pass(*sides[side])
+            seconds, digests[side], per_scenario = one_pass(*sides[side])
             times[side].append(seconds)
+            latencies[side].append(per_scenario)
         differ += digests["base"] != digests["change"]
 
     n = len(sides["base"][1])
@@ -111,6 +117,12 @@ def main() -> int:
     print(f"change/base ratio median {med:.3f} [q1 {q1:.3f}, q3 {q3:.3f}]")
     won = sum(x < 1 for x in ratios)
     print(f"change faster in {won} of {args.rounds} rounds ({won / args.rounds:.0%})")
+    medians = {side: [statistics.median(col) for col in zip(*latencies[side])] for side in latencies}
+    names = [sc.name for sc in sides["base"][1]]
+    slowest = sorted(range(n), key=lambda i: medians["base"][i], reverse=True)[:5]
+    for i in slowest:
+        b, c = medians["base"][i], medians["change"][i]
+        print(f"scenario {names[i]} base median {b:.4f} change median {c:.4f} ratio {c / b:.3f}")
     print("reports identical in every round" if not differ else f"reports differ in {differ} rounds")
     return 0
 

@@ -37,7 +37,6 @@ from .errors import (
     BudgetExceeded,
     CertificateError,
     ContainmentError,
-    CosetCountExceeded,
     FormatError,
     GrowthLabError,
     NotAbelian,

@@ -136,7 +136,7 @@ def _slice_scan(target: GSet, cells, core: GSet, failure: str) -> GSet:
     C·core element by element.  The scan then draws no further cell; an
     element left after the last cell raises CertificateError(failure).
     """
-    mul, inv = target.parent.mul, target.parent.inv
+    left_row, inv = target.parent.left_row, target.parent.inv
     remaining = set(target.members)
     witnesses = []
     cells = iter(cells)
@@ -144,12 +144,12 @@ def _slice_scan(target: GSet, cells, core: GSet, failure: str) -> GSet:
         cell = next(cells, None)
         if cell is None:
             raise CertificateError(failure)
-        hit = remaining.intersection(cell)
+        hit = list(remaining.intersection(cell))
         if hit:
             c = min(hit)
             witnesses.append(c)
-            ci = inv(c)
-            remaining -= {w for w in hit if mul(ci, w) in core.members}
+            moved = left_row(inv(c), hit)
+            remaining.difference_update(w for w, x in zip(hit, moved) if x in core.members)
     return GSet(target.parent, witnesses, _reduced=True)
 
 
@@ -223,12 +223,14 @@ def predicate_slice_certificate(
     T ⊆ C·S element by element.  Then S² ⊆ T, checked on S² from S's power
     walk under `certify`'s guard on the |S|² pairs, gives S² ⊆ C·S without
     building C·S.  A², A⁴ and X³ come from the power walks of A and X, so
-    in a finite parent the slices of one certificate replay them.
+    in a finite parent the slices of one certificate replay them.  A full
+    slice S = A² has S² = A⁴, which A's walk holds already; there S² ⊆ T
+    proves that every member of A⁴ passes the predicate.
     """
     budget = resolve_budget(budget)
     A = cert.aset
-    slice_set = power(A, 2, budget).filter(member)
-    T = power(A, 4, budget).filter(member)
+    A2, A4 = power(A, 2, budget), power(A, 4, budget)
+    slice_set, T = A2.filter(member), A4.filter(member)
     left_row = A.parent.left_row
     cells = (left_row(u, A.members) for u in power(cert.witness, 3, budget).sorted_members())
     C = _slice_scan(T, cells, slice_set, "slice cover left elements exposed")
@@ -236,7 +238,7 @@ def predicate_slice_certificate(
         raise CertificateError("slice witness exceeded K^3")
     if len(slice_set) ** 2 > budget:
         raise BudgetExceeded("product", len(slice_set) ** 2, budget)
-    square = power(slice_set, 2, budget)
+    square = A4 if len(slice_set) == len(A2) else power(slice_set, 2, budget)
     if not square.members <= T.members:
         missing = len(square.members - T.members)
         raise CertificateError(f"slice square leaves A^4 ∩ H ({missing} elements exposed)")

@@ -43,10 +43,6 @@ class StepTooLow(GrowthLabError):
     """Operation requires nilpotency step >= 2."""
 
 
-class CosetCountExceeded(GrowthLabError):
-    """Set meets more cosets than the stated bound k."""
-
-
 class StepDropFailed(GrowthLabError):
     """A reduced factor failed to drop in nilpotency step; signals a bug."""
 

@@ -18,8 +18,9 @@ from .groups import Element
 class GSet:
     """A finite subset of a group, stored as canonical coordinate tuples."""
 
-    # `_walk` holds the stored layers of `powers` in a finite parent.
-    __slots__ = ("parent", "members", "_sorted", "_symmetric", "_walk")
+    # `_walk` holds the stored layers of `powers` in a finite parent, and
+    # `_group` is set by a `SubgroupHandle` whose elements these are.
+    __slots__ = ("parent", "members", "_sorted", "_symmetric", "_walk", "_group")
 
     def __init__(self, parent, members: Iterable[tuple], *, _reduced: bool = False):
         if _reduced:
@@ -31,6 +32,7 @@ class GSet:
         object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_symmetric", None)
         object.__setattr__(self, "_walk", None)
+        object.__setattr__(self, "_group", False)
 
     def __setattr__(self, *a):
         raise AttributeError("GSet is immutable")
@@ -98,15 +100,34 @@ class GSet:
 
 
 def product(A: GSet, B: GSet, budget: int | None = None) -> GSet:
-    """Exact product set {a*b}."""
+    """Exact product set {a*b}; the budget checks |A|·|B|, then |A·B|.
+
+    {1}·X = X·{1} = X.  With a group B (a `SubgroupHandle`'s elements) A·B is
+    the union of cosets a·B: an a already in it adds nothing, an a ∈ B adds
+    B.  With a group A, the cosets A·b likewise.
+    """
     A._check(B)
     budget = resolve_budget(budget)
-    small, big = (A, B) if len(A) <= len(B) else (B, A)
     pairs = len(A) * len(B)
     if pairs > budget:
         raise BudgetExceeded("product", pairs, budget)
+    ident = A.parent.identity_coords()
+    if len(A) == 1 and ident in A.members:
+        return B
+    if len(B) == 1 and ident in B.members:
+        return A
     out = set()
-    if small is A:
+    if B._group and not (A._group and len(B) < len(A)):
+        left_row, hs = A.parent.left_row, B.members
+        for a in A.members:
+            if a not in out:
+                out.update(hs if a in hs else left_row(a, hs))
+    elif A._group:
+        right_row, hs = A.parent.right_row, A.members
+        for b in B.members:
+            if b not in out:
+                out.update(hs if b in hs else right_row(hs, b))
+    elif len(A) <= len(B):
         left_row, bs = A.parent.left_row, B.members
         for a in A.members:
             out.update(left_row(a, bs))

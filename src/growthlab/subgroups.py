@@ -29,12 +29,17 @@ class SubgroupHandle:
     verified against a generating set of conjugators (which implies
     normality in the group they generate), False after a failed check,
     None = unknown.
+
+    The handle marks `elements` as a group, for `product` to go by cosets.
     """
 
     parent: object
     elements: GSet
     generators: tuple[Element, ...] = ()
     is_normal: bool | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self.elements, "_group", True)
 
     def order(self) -> int:
         return len(self.elements)
@@ -209,8 +214,10 @@ def _commutator_levels(parent, gens, depth: int, budget: int, op: str) -> list[s
     commutators all read their levels from here.
 
     L_1 holds the generators other than 1 and L_{t+1} = {[c, g] ≠ 1 : c ∈ L_t,
-    g ∈ L_1} with [c, g] = c⁻¹g⁻¹cg.  Each inverse is computed once; a level
-    larger than the budget raises BudgetExceeded(op).
+    g ∈ L_1} with [c, g] = c⁻¹g⁻¹cg.  Each inverse is computed once.  L_2
+    takes [c, g] once per unordered pair and adds the inverses, since
+    [g, c] = [c, g]⁻¹ and [c, c] = 1.  A level larger than the budget raises
+    BudgetExceeded(op).
     """
     ident = parent.identity_coords()
     mul, inv, left_row = parent.mul, parent.inv, parent.left_row
@@ -218,11 +225,14 @@ def _commutator_levels(parent, gens, depth: int, budget: int, op: str) -> list[s
     gs = list(base)
     gis = [inv(g) for g in gs]
     levels = [base]
-    for _ in range(depth - 1):
+    for t in range(depth - 1):
         nxt = set()
-        for c in levels[-1]:
+        for i, c in enumerate(levels[-1] if t else gs):
             # [c, g] = (c⁻¹·g⁻¹)·(c·g): two rows, then one product per g.
-            nxt.update(map(mul, left_row(inv(c), gis), left_row(c, gs)))
+            k = 0 if t else i + 1  # L_2: only the g after c in gs
+            nxt.update(map(mul, left_row(inv(c), gis[k:]), left_row(c, gs[k:])))
+        if not t:
+            nxt.update([inv(w) for w in nxt])
         nxt.discard(ident)
         if len(nxt) > budget:
             raise BudgetExceeded(op, len(nxt), budget)

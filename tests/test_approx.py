@@ -2,10 +2,12 @@
 
 A slice certificate is proved by its own translate scan and never builds
 C·S; `ref_slice_certificate` is the plain scan followed by `certify`, and a
-hypothesis property pins the fast path to it.  The slicing cover shares that
-scan and never multiplies out its core; `ref_slicing_cover` is the plain
-double loop followed by that product, and a hypothesis property pins the
-cover to it.
+hypothesis property pins the fast path to it.  A full slice takes its square
+from A's walk; `ref_square_by_the_slice_walk` squares every slice by its own
+walk.  The slicing cover shares that scan and never multiplies out its core;
+`ref_slicing_cover` is the plain double loop followed by that product, and a
+hypothesis property pins the cover to it.  The scan moves each hit by one
+row; `ref_slice_scan` takes one `mul` per element.
 """
 from fractions import Fraction
 
@@ -14,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import (
+    ApproxCertificate,
     BudgetExceeded,
     CertificateError,
     Element,
     FiniteAbelian,
+    GrowthLabError,
     GSet,
     NotAbelian,
     PartialMap,
@@ -310,6 +314,92 @@ def test_slice_certificate_matches_certify_on_the_scan_witness(case):
     # it does return is certify's.
     if subgroup or got is not CertificateError:
         assert got == expected
+
+
+def ref_square_by_the_slice_walk(cert, member, budget):
+    """predicate_slice_certificate with S² always from S's own power walk."""
+    A = cert.aset
+    slice_set = power(A, 2, budget).filter(member)
+    T = power(A, 4, budget).filter(member)
+    left_row = A.parent.left_row
+    cells = (left_row(u, A.members) for u in power(cert.witness, 3, budget).sorted_members())
+    C = _slice_scan(T, cells, slice_set, "slice cover left elements exposed")
+    if len(C) > cert.K_upper ** 3:
+        raise CertificateError("slice witness exceeded K^3")
+    if len(slice_set) ** 2 > budget:
+        raise BudgetExceeded("product", len(slice_set) ** 2, budget)
+    square = power(slice_set, 2, budget)
+    if not square.members <= T.members:
+        missing = len(square.members - T.members)
+        raise CertificateError(f"slice square leaves A^4 ∩ H ({missing} elements exposed)")
+    return ApproxCertificate(slice_set, C, len(square))
+
+
+def _slice_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GrowthLabError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _full_or_partial_slice(draw):
+    """A drawn slice case, or a full one: every element passes, or ⟨A⟩ ⊇ A²."""
+    cert, member, _ = draw(_slice_case())
+    kind = draw(st.sampled_from(["drawn", "everything", "span"]))
+    if kind == "everything":
+        member = lambda c: True  # noqa: E731
+    elif kind == "span":
+        member = span(list(cert.aset.elements())).elements.members.__contains__
+    A2, A4 = power(cert.aset, 2), power(cert.aset, 4)
+    return cert, member, draw(st.integers(1, len(A4) * len(A2)) | st.just(10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_full_or_partial_slice())
+def test_full_slice_square_from_the_walk_matches_the_slice_walk(case):
+    cert, member, budget = case
+    expected = _slice_outcome(ref_square_by_the_slice_walk, cert, member, budget)
+    assert _slice_outcome(predicate_slice_certificate, cert, member, budget) == expected
+
+
+def ref_slice_scan(target, cells, core, failure):
+    """The slice scan with one `mul` per element of each hit."""
+    mul, inv = target.parent.mul, target.parent.inv
+    remaining = set(target.members)
+    witnesses = []
+    for cell in cells:
+        if not remaining:
+            break
+        hit = remaining.intersection(cell)
+        if hit:
+            c = min(hit)
+            witnesses.append(c)
+            remaining -= {w for w in hit if mul(inv(c), w) in core.members}
+    if remaining:
+        raise CertificateError(failure)
+    return GSet(target.parent, witnesses, _reduced=True)
+
+
+@st.composite
+def _scan_case(draw):
+    """Drawn target, core and cells; often a last cell that holds the target."""
+    G = draw(st.sampled_from(_SLICE_GROUPS))
+    subsets = st.lists(st.sampled_from(_SLICE_POOLS[G]), max_size=10)
+    target = GSet(G, draw(subsets), _reduced=True)
+    core = GSet(G, draw(subsets) + [G.identity_coords()], _reduced=True)
+    cells = draw(st.lists(subsets, max_size=5))
+    if draw(st.booleans()):
+        cells.append(list(target.members))
+    return target, cells, core
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_case())
+def test_slice_scan_matches_the_per_element_products(case):
+    target, cells, core = case
+    expected = _slice_outcome(ref_slice_scan, target, cells, core, "exposed")
+    assert _slice_outcome(_slice_scan, target, cells, core, "exposed") == expected
 
 
 # --------------------------------------------------------------------------

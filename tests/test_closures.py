@@ -7,7 +7,8 @@ reduction enumerates each cyclic subgroup once per generator (or, where a
 free coordinate pins the exponent, tests a ratio), and `powers` multiplies only the newest layer of a power chain and,
 in a finite parent, replays the layers an earlier walk of the same set built.
 `derived_subgroup`, `QuotientView.is_abelian` and the step take their
-commutators from the one level builder, `iter_coords` is `itertools.product`
+commutators from the one level builder, whose second level takes each
+unordered pair once, `iter_coords` is `itertools.product`
 and `growth_law` reads the power walk.  The functions under "Reference loops"
 are the plain versions they replaced (for cyclic membership also a search
 over every exponent that can work); hypothesis pins each fast path to them.
@@ -51,6 +52,7 @@ from growthlab import (
 )
 from growthlab.gset import powers
 from growthlab.pipeline import _cyclic_membership
+from growthlab.subgroups import _commutator_levels
 
 # --------------------------------------------------------------------------
 # Reference loops
@@ -155,6 +157,20 @@ def _derived_pairwise(parent, gens, budget):
         return frozenset({parent.identity_coords()}), ()
     closed = _normal_closure_loop(parent, [c.coords for c in comms], gens, budget)
     return closed, tuple(comms)
+
+
+def _levels_all_pairs(parent, gens, depth, budget, op):
+    """Commutator levels over every ordered pair (c, g) ∈ L_t × L_1."""
+    mul, inv, ident = parent.mul, parent.inv, parent.identity_coords()
+    base = {g.coords for g in gens} - {ident}
+    levels = [base]
+    for _ in range(depth - 1):
+        nxt = {mul(mul(inv(c), inv(g)), mul(c, g)) for c in levels[-1] for g in base}
+        nxt.discard(ident)
+        if len(nxt) > budget:
+            raise BudgetExceeded(op, len(nxt), budget)
+        levels.append(nxt)
+    return levels
 
 
 def _is_abelian_pairs(q):
@@ -604,6 +620,37 @@ def test_derived_subgroup_matches_pairwise_commutators(case):
     assert D.elements.members == members
     assert D.generators == comms
     assert D.is_normal is True
+
+
+@st.composite
+def _level_case(draw):
+    """A generator list with 1, repeats and inverses mixed in, a depth and a
+    budget small enough to stop some levels."""
+    G = draw(st.sampled_from(_CLOSURE_GROUPS))
+    gens = draw(st.lists(st.sampled_from(_POOLS[G]), min_size=1, max_size=4))
+    for extra in draw(st.lists(st.sampled_from(["identity", "repeat", "inverse"]), max_size=4)):
+        if extra == "identity":
+            gens.append(G.identity_coords())
+        else:
+            g = draw(st.sampled_from(gens))
+            gens.append(g if extra == "repeat" else G.inv(g))
+    gens = draw(st.permutations(gens))
+    return G, [Element(G, c) for c in gens], draw(st.integers(1, 4)), draw(st.integers(1, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_level_case())
+def test_commutator_levels_match_every_ordered_pair(case):
+    G, gens, depth, budget = case
+    try:
+        expected = _levels_all_pairs(G, gens, depth, budget, "levels")
+    except BudgetExceeded as e:
+        expected = (e.op, e.needed)
+    try:
+        got = _commutator_levels(G, gens, depth, budget, "levels")
+    except BudgetExceeded as e:
+        got = (e.op, e.needed)
+    assert got == expected
 
 
 @st.composite

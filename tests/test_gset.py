@@ -1,23 +1,35 @@
-"""Set calculus: exact products, powers, symmetry, and budget behaviour."""
+"""Set calculus: exact products, powers, symmetry, and budget behaviour.
+
+A product with a subgroup (the elements of a `SubgroupHandle`) goes coset by
+coset; `ref_product` is the plain double loop with the same two budget
+checks, and a hypothesis property pins the coset path to it.
+"""
 import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthlab import (
     BudgetExceeded,
+    Element,
     FiniteAbelian,
     GSet,
     ParentMismatch,
+    QuotientView,
+    SubgroupHandle,
+    Unitriangular,
     certify,
     growth_stats,
     heisenberg,
     inverse_set,
+    normal_closure,
+    parse_group,
     power,
     power_chain,
     product,
+    span,
     symmetrize,
     translate,
 )
@@ -197,3 +209,106 @@ def test_filter_and_orderings():
         (3,),
         (5,),
     ]
+
+
+# --------------------------------------------------------------------------
+# Products with a subgroup, coset by coset, against the plain double loop
+
+
+def ref_product(A, B, budget):
+    """{a·b} by a double loop, with product's two checks: pairs, then size."""
+    pairs = len(A) * len(B)
+    if pairs > budget:
+        return ("product", pairs)
+    mul = A.parent.mul
+    out = frozenset(mul(a, b) for a in A.members for b in B.members)
+    if len(out) > budget:
+        return ("product", len(out))
+    return out
+
+
+def _centre_quotient(U):
+    corner = [0] * U.arity
+    corner[U.pos_index[(0, U.n - 1)]] = 1
+    return QuotientView(U, normal_closure([Element(U, tuple(corner))], U.generators()))
+
+
+_PRODUCT_GROUPS = [parse_group(t) for t in ("ab:7", "ab:12", "ut:3:3", "ut:3:5", "ut:4:2")]
+_PRODUCT_GROUPS += [_centre_quotient(Unitriangular(3, 5)), parse_group("prod:(ab:4);(ut:3:2)")]
+_PRODUCT_POOLS = {G: sorted(G.iter_coords()) for G in _PRODUCT_GROUPS}
+
+
+@st.composite
+def _subgroup(draw, G):
+    """The elements of a handle: a span, a normal closure, {1} or G."""
+    kind = draw(st.sampled_from(["span", "closure", "trivial", "whole"]))
+    if kind == "trivial":
+        return SubgroupHandle(G, GSet.identity_set(G)).elements
+    if kind == "whole":
+        return span(G.generators()).elements
+    gens = [Element(G, c) for c in draw(st.lists(st.sampled_from(_PRODUCT_POOLS[G]), min_size=1, max_size=3))]
+    if kind == "span":
+        return span(gens).elements
+    return normal_closure(gens, G.generators()).elements
+
+
+@st.composite
+def _product_case(draw):
+    """A subgroup on either side, the other operand a drawn set or a subgroup,
+    and a budget below the pairs (refused) or at least the pairs (the set)."""
+    G = draw(st.sampled_from(_PRODUCT_GROUPS))
+    H = draw(_subgroup(G))
+    X = draw(st.one_of(
+        st.lists(st.sampled_from(_PRODUCT_POOLS[G]), max_size=8).map(lambda cs: GSet(G, cs, _reduced=True)),
+        _subgroup(G),
+    ))
+    A, B = (X, H) if draw(st.booleans()) else (H, X)
+    pairs = len(A) * len(B)
+    return A, B, draw(st.one_of(st.integers(1, max(pairs, 1)), st.integers(max(pairs, 1), pairs + 2)))
+
+
+# In Z_12, {0, 1, 4}·⟨4⟩ = {0, 4, 8, 1, 5, 9}: 9 pairs, 6 elements.
+_Z12 = FiniteAbelian((12,))
+_X012 = GSet(_Z12, [(0,), (1,), (4,)], _reduced=True)
+_H4 = span([Element(_Z12, (4,))]).elements
+
+
+@example(case=(_X012, _H4, 8))
+@example(case=(_X012, _H4, 5))
+@example(case=(_H4, _X012, 8))
+@example(case=(_H4, _X012, 5))
+@settings(max_examples=300, deadline=None)
+@given(_product_case())
+def test_product_with_a_subgroup_matches_the_double_loop(case):
+    A, B, budget = case
+    try:
+        got = product(A, B, budget).members
+    except BudgetExceeded as e:
+        got = (e.op, e.needed)
+    assert got == ref_product(A, B, budget)
+
+
+def test_product_with_the_whole_group_calls_no_row(monkeypatch):
+    G = Unitriangular(3, 5)
+    whole = span(G.generators()).elements
+    X = GSet(G, [(1, 2, 3), (0, 0, 0), (4, 0, 1)], _reduced=True)
+
+    def refuse(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(Unitriangular, "left_row", refuse)
+    monkeypatch.setattr(Unitriangular, "right_row", refuse)
+    assert product(X, whole).members == whole.members
+    assert product(whole, X).members == whole.members
+    assert product(whole, whole).members == whole.members
+
+
+def test_product_with_the_identity_is_the_other_operand():
+    G = Unitriangular(3, 5)
+    X = GSet(G, [(1, 2, 3), (4, 0, 1)], _reduced=True)
+    for one in (GSet.identity_set(G), SubgroupHandle(G, GSet.identity_set(G)).elements):
+        assert product(X, one) is X
+        assert product(one, X) is X
+    with pytest.raises(BudgetExceeded) as ei:
+        product(X, GSet.identity_set(G), budget=1)
+    assert (ei.value.op, ei.value.needed) == ("product", 2)

@@ -4,7 +4,8 @@ step reduction, the full recursion, and the two corollary covers.
 The slices of a step reduction take A², A⁴ and X³ from the power walks
 and share one table of π(c); the step reduction lifts the generators the
 oracle kept for H rather than all of H, and the pigeonhole scores
-candidates against a suffix table.
+candidates against a suffix table.  Every set a `SubgroupHandle` marks as
+a group during a decomposition is checked to be one.
 "Shared values against the plain versions" keeps the versions they
 replaced and pins the shortcuts to them.
 """
@@ -30,6 +31,7 @@ from growthlab import (
     ParentMismatch,
     ProgressionSpec,
     QuotientView,
+    SubgroupHandle,
     Unitriangular,
     abelian_factorization,
     abelianization,
@@ -343,6 +345,30 @@ def test_step_reduction_asks_fibre_predicates_only_about_a4(monkeypatch, recipe)
     monkeypatch.setattr(pipeline, "_fibres", spy)
     assert decompose(cert).to_report() == expected
     assert asked and all(asked)
+
+
+@pytest.mark.parametrize("recipe", (
+    "ball ut:3:5 radius=1",
+    "random-symmetric ut:3:5 size=9 seed=2",
+    "random-symmetric ut:3:7 size=11 seed=17",
+))
+def test_every_set_marked_a_group_in_decompose_is_one(monkeypatch, recipe):
+    # `product` goes coset by coset with a set a SubgroupHandle holds, so
+    # each such set must hold 1 and be closed under the plain double loop.
+    marked = {}
+    post = SubgroupHandle.__post_init__
+
+    def recording(self):
+        marked[id(self.elements)] = self.elements
+        post(self)
+
+    monkeypatch.setattr(SubgroupHandle, "__post_init__", recording)
+    decompose(greedy_cover_certificate(generate_example(recipe)))
+    assert len(marked) > 1
+    for S in marked.values():
+        mul = S.parent.mul
+        assert S.parent.identity_coords() in S.members
+        assert all(mul(a, b) in S.members for a in S.members for b in S.members)
 
 
 def test_slice_recipes_cover_cyclic_fibres():

@@ -434,6 +434,13 @@ def test_paired_passes_script_alternates_two_trees_and_refuses_bad_arguments():
     lines = run.stdout.splitlines()
     assert lines[0] == "finite-nilpotent seed 0: 13 scenarios, 2 rounds of one pass per side"
     assert [line.split()[0] for line in lines[1:4]] == ["base", "change", "change/base"]
+    # The five scenarios with the highest base median latency, before the last line.
+    slowest = [line.split() for line in lines[-6:-1]]
+    assert [words[0] for words in slowest] == ["scenario"] * 5
+    assert len({words[1] for words in slowest}) == 5
+    assert all(words[2:4] == ["base", "median"] and words[5:7] == ["change", "median"] for words in slowest)
+    base_medians = [float(words[4]) for words in slowest]
+    assert base_medians == sorted(base_medians, reverse=True)
     assert lines[-1] == "reports identical in every round"
     for args, message in (([src, src, "--workload", "finite-nilpotent", "--rounds", "0"],
                            "--rounds must be at least 1, got 0"),
