@@ -110,8 +110,8 @@ def ruzsa_cover(A: GSet, B: GSet, budget: int | None = None) -> RuzsaCover:
 
     |A·B| comes from the scan: the kept translates fill `occupied`, and
     `rest` holds every other element met, none occupied, so the scan holds
-    A·B once.  `product`'s budget checks stand: |A|·|B| pairs before the
-    scan, |A·B| after it.
+    A·B once.  `product`'s budget check stands: |A|·|B| pairs before the
+    scan, which bounds |A·B|.
     """
     budget = resolve_budget(budget)
     if A.parent != B.parent:
@@ -132,8 +132,6 @@ def ruzsa_cover(A: GSet, B: GSet, budget: int | None = None) -> RuzsaCover:
             occupied.update(aB)
             rest.difference_update(aB)
     ab_size = len(occupied) + len(rest)
-    if ab_size > budget:
-        raise BudgetExceeded("product", ab_size, budget)
     del occupied, rest  # freed before the witness scan may build X·B
     X = GSet(A.parent, kept, _reduced=True)
     ratio_bound = -(-ab_size // len(B))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator
 
 from .errors import ParentMismatch
@@ -191,20 +191,6 @@ class Unitriangular(GroupDescriptor):
     def structural_step(self) -> int:
         return self.n - 1
 
-    @cached_property
-    def _pair_table(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """(k, ((idx(i,t), idx(t,j)) for i < t < j)) per position k = (i, j).
-
-        Ordered by gap j - i, so `inv` can solve entry by entry; `mul`
-        fills entries by index and does not care about the order.
-        """
-        idx = self.pos_index
-        return tuple(
-            (idx[(i, i + gap)], tuple((idx[(i, t)], idx[(t, i + gap)]) for t in range(i + 1, i + gap)))
-            for gap in range(1, self.n)
-            for i in range(self.n - gap)
-        )
-
     def reduce(self, coords):
         if len(coords) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates")
@@ -213,55 +199,28 @@ class Unitriangular(GroupDescriptor):
             return tuple([c % m for c in coords])
         return tuple(coords)
 
+    # The group law is compiled once per (n, m) by `_ut_kernels`.  The
+    # methods stay on the class, so wrapping them there sees every call, and
+    # the instance keeps only a reference to the shared functions.
+    @cached_property
+    def _kernels(self) -> tuple:
+        return _ut_kernels(self.n, self.modulus)
+
     def mul(self, a, b):
-        m = self.modulus
-        if self.n == 3:
-            a0, a1, a2 = a
-            b0, b1, b2 = b
-            if m:
-                return ((a0 + b0) % m, (a1 + b1 + a0 * b2) % m, (a2 + b2) % m)
-            return (a0 + b0, a1 + b1 + a0 * b2, a2 + b2)
-        out = [0] * len(a)
-        for k, pairs in self._pair_table:
-            v = a[k] + b[k]
-            for s, t in pairs:
-                v += a[s] * b[t]
-            out[k] = v % m if m else v
-        return tuple(out)
+        return self._kernels[0](a, b)
 
     def left_row(self, a, bs):
-        if self.n != 3:
-            return super().left_row(a, bs)
-        m = self.modulus
-        a0, a1, a2 = a
-        if m:
-            return [((a0 + b0) % m, (a1 + b1 + a0 * b2) % m, (a2 + b2) % m) for b0, b1, b2 in bs]
-        return [(a0 + b0, a1 + b1 + a0 * b2, a2 + b2) for b0, b1, b2 in bs]
+        return self._kernels[1](a, bs)
 
     def right_row(self, as_, b):
-        if self.n != 3:
-            return super().right_row(as_, b)
-        m = self.modulus
-        b0, b1, b2 = b
-        if m:
-            return [((a0 + b0) % m, (a1 + b1 + a0 * b2) % m, (a2 + b2) % m) for a0, a1, a2 in as_]
-        return [(a0 + b0, a1 + b1 + a0 * b2, a2 + b2) for a0, a1, a2 in as_]
+        return self._kernels[2](as_, b)
 
     def inv(self, a):
-        m = self.modulus
-        if self.n == 3:
-            a0, a1, a2 = a
-            if m:
-                return (-a0 % m, (a0 * a2 - a1) % m, -a2 % m)
-            return (-a0, a0 * a2 - a1, -a2)
-        # Solve (I + a)(I + e) = I entry by entry, shortest gaps first.
-        e = list(a)
-        for k, pairs in self._pair_table:
-            v = -a[k]
-            for s, t in pairs:
-                v -= a[s] * e[t]
-            e[k] = v % m if m else v
-        return tuple(e)
+        return self._kernels[3](a)
+
+    def __reduce__(self):
+        # Compiled functions do not pickle; the descriptor is its two fields.
+        return (Unitriangular, (self.n, self.modulus))
 
     def identity_coords(self):
         return (0,) * self.arity
@@ -288,6 +247,46 @@ class Unitriangular(GroupDescriptor):
     def abelian_coords(self) -> tuple[int, ...]:
         """The superdiagonal: every other entry is fed by products of entries."""
         return tuple(self.pos_index[(i, i + 1)] for i in range(self.n - 1))
+
+
+@cache
+def _ut_kernels(n: int, m: int) -> tuple:
+    """Straight-line (mul, left_row, right_row, inv) of UT(n, Z_m), compiled once.
+
+    Entry (i, j) of a·b is a_ij + b_ij + Σ a_it·b_tj over i < t < j, and
+    the inverse e solves (I + a)(I + e) = I entry by entry, shortest gaps
+    first.  The generated source names coordinate k of a, b and e as ak,
+    bk and ek, and reduces each entry modulo the literal m (m = 0: not at
+    all); the plain per-coordinate reference is in tests/test_kernels.py.
+    """
+    idx = Unitriangular(n, m).pos_index
+    table = [  # (k, its index pairs (idx(i,t), idx(t,j))) per position k = (i, j), by gap
+        (idx[(i, i + gap)], [(idx[(i, t)], idx[(t, i + gap)]) for t in range(i + 1, i + gap)])
+        for gap in range(1, n) for i in range(n - gap)
+    ]
+
+    def entry(terms):
+        return f"({' '.join(terms)}) % {m}" if m else " ".join(terms)
+
+    def coords(x):
+        return "(" + "".join(f"{x}{k}, " for k in range(len(idx))) + ")"
+
+    a, b, e = coords("a"), coords("b"), coords("e")
+    ab = "(" + "".join(
+        entry([f"a{k} + b{k}"] + [f"+ a{s} * b{t}" for s, t in pairs]) + ", " for k, pairs in sorted(table)
+    ) + ")"
+    solve = "".join(
+        f"    e{k} = {entry([f'-a{k}'] + [f'- a{s} * e{t}' for s, t in pairs])}\n" for k, pairs in table
+    )
+    src = (
+        f"def mul(a, b):\n    {a} = a\n    {b} = b\n    return {ab}\n"
+        f"def left_row(a, bs):\n    {a} = a\n    return [{ab} for {b} in bs]\n"
+        f"def right_row(as_, b):\n    {b} = b\n    return [{ab} for {a} in as_]\n"
+        f"def inv(a):\n    {a} = a\n{solve}    return {e}\n"
+    )
+    ns: dict = {}
+    exec(compile(src, f"<ut:{n}:{m} kernels>", "exec"), ns)
+    return ns["mul"], ns["left_row"], ns["right_row"], ns["inv"]
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,9 @@ from .gset import GSet, product
 class SubgroupHandle:
     """An enumerated subgroup with an optional normality verdict.
 
-    What `generators` holds depends on the constructor.  From `span` and from
-    the oracle's H = 2A−2A shortcut they generate the subgroup as a group,
-    and `check_normal` conjugates only them.  From `normal_closure` (a
-    `_NormalClosure`) they are the seeds it was grown from, which generate
-    it only as a normal subgroup, together with their conjugates.  Empty
-    means none were kept, and `gen_elements` then lists every element.
+    `generators` generate the subgroup as a group, so `check_normal`
+    conjugates only them.  Empty means every element, which `gen_elements`
+    then lists.
 
     is_normal is a tri-state: True once conjugation-stability has been
     verified against a generating set of conjugators (which implies
@@ -54,10 +51,6 @@ class SubgroupHandle:
         if self.generators:
             return list(self.generators)
         return list(self.elements.elements())
-
-
-class _NormalClosure(SubgroupHandle):
-    """A `normal_closure` handle: its generators are normal generators only."""
 
 
 def _gen_list(gens) -> list[Element]:
@@ -142,7 +135,8 @@ def normal_closure(H, conj_gens, budget: int | None = None) -> SubgroupHandle:
     Only the generators N was grown from are conjugated, and only by one g of
     each pair {g, g⁻¹} in conj: if g·h·g⁻¹ ∈ N for every such h, then
     gNg⁻¹ ⊆ N, and equality holds because N is finite, so g⁻¹Ng = N as well.
-    A conjugate outside N is adjoined to it and conjugated in turn.
+    A conjugate outside N is adjoined to it and conjugated in turn.  The
+    handle keeps the seeds and conjugates that grew N, which generate it.
     """
     budget = resolve_budget(budget)
     conj = _gen_list(conj_gens)
@@ -161,10 +155,10 @@ def normal_closure(H, conj_gens, budget: int | None = None) -> SubgroupHandle:
             w = mul(mul(g, h), gi)
             if w not in members:
                 _adjoin(parent, members, gens, (w,), budget, "normal_closure")
-    return _NormalClosure(
+    return SubgroupHandle(
         parent,
         GSet(parent, members, _reduced=True),
-        generators=tuple(sorted(pool)),
+        generators=tuple(sorted(Element(parent, g) for g in gens)),
         is_normal=True,
     )
 
@@ -187,17 +181,13 @@ def check_normal(H: SubgroupHandle, conj_gens, budget: int | None = None) -> Sub
 
     For a set S that generates H as a group, gHg⁻¹ ⊆ H exactly when
     gSg⁻¹ ⊆ H: conjugation is an automorphism and H is closed.  S is H's
-    generators, except in a `normal_closure` handle, whose generators are
-    normal generators only, and in one that kept none: there S is all of H.
-    H is finite, so conjugating by one g of each pair {g, g⁻¹} decides both.
+    generators, or all of H when it kept none.  H is finite, so conjugating
+    by one g of each pair {g, g⁻¹} decides both.
     """
     parent = H.parent
     members = H.elements.members
     left_row, right_row, inv = parent.left_row, parent.right_row, parent.inv
-    if H.generators and not isinstance(H, _NormalClosure):
-        S = [g.coords for g in H.generators]
-    else:
-        S = members
+    S = [g.coords for g in H.generators] if H.generators else members
     conj = _conjugators(parent, {g.coords for g in _gen_list(conj_gens)})
     # g·S·g⁻¹ as two rows, (g·S)·g⁻¹.
     ok = all(

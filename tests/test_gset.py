@@ -1,8 +1,9 @@
 """Set calculus: exact products, powers, symmetry, and budget behaviour.
 
 A product with a subgroup (the elements of a `SubgroupHandle`) goes coset by
-coset; `ref_product` is the plain double loop with the same two budget
-checks, and a hypothesis property pins the coset path to it.
+coset; `ref_product` is the plain double loop, which checks the budget on
+the pairs and on the size, and a hypothesis property pins the coset path to
+it.
 """
 import itertools
 import tracemalloc
@@ -216,7 +217,7 @@ def test_filter_and_orderings():
 
 
 def ref_product(A, B, budget):
-    """{a·b} by a double loop, with product's two checks: pairs, then size."""
+    """{a·b} by a double loop, with budget checks on the pairs, then the size."""
     pairs = len(A) * len(B)
     if pairs > budget:
         return ("product", pairs)

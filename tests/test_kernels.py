@@ -1,19 +1,23 @@
 """Specialised backend kernels pinned to a plain per-coordinate reference.
 
 The backends in `growthlab.groups` specialise `reduce`/`mul`/`inv` per
-descriptor (one-coordinate abelian groups, straight-line UT(3), a
-precomputed index-pair table for larger n, precomputed factor slices for
-direct products), and `QuotientView.reduce` fills its cache a whole coset
-at a time.  The functions below are the generic implementations they
-replaced; every fast path must agree with them on arbitrary integer input,
-including entries far beyond 64 bits.  The row kernels `left_row` and
+descriptor (one-coordinate abelian groups, straight-line code compiled once
+per (n, m) for every UT(n, Z_m), precomputed factor slices for direct
+products), and `QuotientView.reduce` fills its cache a whole coset at a
+time.  The functions below are the generic implementations they replaced;
+every fast path must agree with them on arbitrary integer input, including
+entries far beyond 64 bits, and for every n the descriptor parser accepts,
+since each n has its own generated code.  The row kernels `left_row` and
 `right_row` must return exactly the list of single products, in order.
 """
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import FiniteAbelian, Unitriangular, parse_group
 from growthlab.subgroups import QuotientView, derived_subgroup, normal_closure, span
+from growthlab.textio import MAX_UT_N
 
 
 # --------------------------------------------------------------------------
@@ -91,6 +95,7 @@ def ref_quotient_reduce(q: QuotientView, coords):
 # --------------------------------------------------------------------------
 # Strategies
 
+_UT_NS = st.sampled_from(range(2, MAX_UT_N + 1))
 _small = st.integers(-50, 50)
 _wide = st.one_of(_small, st.integers(-(2**80), 2**80), st.integers(2**63, 2**70))
 
@@ -111,7 +116,7 @@ def _abelian_case(draw, one_coordinate: bool):
 
 @st.composite
 def _ut_case(draw):
-    G = Unitriangular(draw(st.sampled_from((2, 3, 4, 5))), draw(st.sampled_from((0, 2, 7))))
+    G = Unitriangular(draw(_UT_NS), draw(st.sampled_from((0, 2, 7))))
     return G, draw(_coords(G.arity)), draw(_coords(G.arity))
 
 
@@ -241,7 +246,7 @@ def _row_case(draw, group):
     return G, draw(_coords(G.arity)), draw(_coords(G.arity)), xs
 
 
-_ut_groups = st.builds(Unitriangular, st.sampled_from((2, 3, 4, 5)), st.sampled_from((0, 2, 7)))
+_ut_groups = st.builds(Unitriangular, _UT_NS, st.sampled_from((0, 2, 7)))
 _ab_groups = st.lists(st.sampled_from((0, 1, 2, 3, 12, 101)), min_size=1, max_size=4).map(
     lambda ms: FiniteAbelian(tuple(ms))
 )
@@ -297,3 +302,13 @@ def test_kernels_stay_class_level_and_tables_stay_out_of_equality():
     assert P == parse_group("prod:(ab:2);(ut:3:3)") and hash(P) == hash(parse_group("prod:(ab:2);(ut:3:3)"))
     for obj in (G, FiniteAbelian((5,)), _QUOTIENTS[0], P):
         assert "mul" not in vars(obj) and "inv" not in vars(obj)
+
+
+def test_equal_descriptors_share_one_compiled_law_and_pickle_after_use():
+    G, twin = Unitriangular(4, 3), parse_group("ut:4:3")
+    assert G.mul((1,) * 6, (2,) * 6) == ref_ut_mul(G, (1,) * 6, (2,) * 6)
+    assert twin.inv((1,) * 6) == ref_ut_inv(twin, (1,) * 6)
+    assert all(f is g for f, g in zip(G._kernels, twin._kernels))
+    back = pickle.loads(pickle.dumps(G))
+    assert back == G and back.mul((1,) * 6, (2,) * 6) == G.mul((1,) * 6, (2,) * 6)
+    assert not any(callable(v) for v in vars(G).values())
