@@ -52,7 +52,6 @@ from .groups import (
     FiniteAbelian,
     Unitriangular,
     commutator,
-    conjugate,
     heisenberg,
 )
 from .gset import (
@@ -64,7 +63,6 @@ from .gset import (
     power_chain,
     product,
     symmetrize,
-    translate,
 )
 from .oracle import (
     CosetProgression,
@@ -115,9 +113,7 @@ from .subgroups import (
     SubgroupHandle,
     check_normal,
     derived_subgroup,
-    enumerate_parent,
     normal_closure,
-    preimage_subgroup,
     quotient_project,
     span,
     step_of_generated,

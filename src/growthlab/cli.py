@@ -19,13 +19,12 @@ import sys
 from .config import resolve_budget
 from .errors import FormatError, GrowthLabError
 from .gset import GSet
-from .progressions import ProgressionSpec, ordered_progression
+from .progressions import ordered_progression
 from .recipes import generate_example
-from .scenarios import SUITES, Report, Scenario, run_scenario, run_scenarios, run_suite
+from .scenarios import SUITES, Report, Scenario, _op_params, run_scenario, run_scenarios, run_suite
 from .textio import (
     dumps_csv,
     dumps_json,
-    parse_coord_list,
     parse_group,
     set_to_obj,
     write_text,
@@ -104,35 +103,19 @@ def _cmd_certify(args) -> int:
 
 def _cmd_cover(args) -> int:
     if args.action == "ruzsa":
-        if not args.by:
-            raise GrowthLabError("cover ruzsa needs --by with a recipe for B")
-        ops = ({"op": "ruzsa", "b": _recipe(args.by)},)
+        ops = ({"op": "ruzsa", **_given(b=_recipe(args.by) if args.by else None)},)
     else:
         params = _given(m=args.m, b_size=args.b_size, b_seed=args.seed, c0=args.c0)
         ops = ({"op": "certify"}, {"op": "chang", **params})
     return _scenario_run(f"cover-{args.action}", _recipe(args.recipe), ops, args)
 
 
-def _prog_spec(args) -> ProgressionSpec:
-    parent = parse_group(args.group)
-    try:
-        gens = tuple(parent.element(c) for c in parse_coord_list(args.gens))
-        bounds = tuple(int(b) for b in args.bounds.split(","))
-        return ProgressionSpec(gens, bounds)
-    except ValueError as e:  # coordinates of the wrong arity, bad or unmatched bounds
-        raise FormatError(f"bad progression --gens {args.gens!r} --bounds {args.bounds!r}: {e}")
-
-
 def _cmd_prog(args) -> int:
-    spec = _prog_spec(args)  # bad generators, bounds or step exit 2 before any scenario runs
+    op = {"op": "chain", "gens": args.gens, "bounds": args.bounds, **_given(step=args.step)}
     if args.action == "build":
-        P = ordered_progression(spec, resolve_budget(args.budget))
-        return _emit_set(P, args)
-    top = spec.parent.structural_step
-    if args.step is not None and args.step > top:
-        raise FormatError(f"--step {args.step} is above the structural step {top}")
-    ops = ({"op": "chain", "gens": args.gens, "bounds": args.bounds, **_given(step=args.step)},)
-    return _scenario_run("prog-verify", f"ball {args.group} radius=0", ops, args)
+        spec = _op_params(op, parse_group(args.group))["spec"]
+        return _emit_set(ordered_progression(spec, resolve_budget(args.budget)), args)
+    return _scenario_run("prog-verify", f"ball {args.group} radius=0", (op,), args)
 
 
 def _cmd_oracle(args) -> int:
@@ -160,11 +143,13 @@ def _cmd_pipeline(args) -> int:
 
 
 def _load_scenarios(path: str) -> list[Scenario]:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except ValueError as e:
-            raise FormatError(f"scenario file {path!r} is not valid JSON: {e}")
+    except OSError as e:
+        raise FormatError(f"cannot read scenario file {path!r}: {e.strerror}")
+    except ValueError as e:
+        raise FormatError(f"scenario file {path!r} is not valid JSON: {e}")
     objs = obj if isinstance(obj, list) else [obj]
     return [Scenario.from_obj(o) for o in objs]
 
@@ -176,7 +161,7 @@ def _cmd_suite(args) -> int:
         scenarios = _load_scenarios(args.name)
         report = run_scenarios(os.path.basename(args.name), scenarios, args.jobs, args.budget)
     else:
-        raise GrowthLabError(
+        raise FormatError(
             f"no builtin suite or scenario file {args.name!r} "
             f"(builtins: {', '.join(sorted(SUITES))})"
         )

@@ -430,11 +430,6 @@ def commutator(a: Element, b: Element) -> Element:
     return a.inv() * b.inv() * a * b
 
 
-def conjugate(a: Element, g: Element) -> Element:
-    """g a g^-1."""
-    return g * a * g.inv()
-
-
 def heisenberg(modulus: int = 0) -> Unitriangular:
     """UT(3, Z_m); modulus 0 gives the integer Heisenberg group."""
     return Unitriangular(3, modulus)

@@ -152,13 +152,6 @@ def symmetrize(A: GSet) -> GSet:
     return GSet(A.parent, out, _reduced=True)
 
 
-def translate(g: Element, A: GSet) -> GSet:
-    """Left translate g·A."""
-    if g.parent != A.parent:
-        raise ParentMismatch("translate: mixed parents")
-    return GSet(A.parent, A.parent.left_row(g.coords, A.members), _reduced=True)
-
-
 def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
     """A, A², A³, ... computed lazily; the caller decides where to stop.
 

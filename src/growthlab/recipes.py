@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .config import resolve_budget
 from .errors import BudgetExceeded, RecipeError
-from .groups import Element, FiniteAbelian
-from .gset import GSet, power, symmetrize
+from .groups import Element, FiniteAbelian, GroupDescriptor
+from .gset import GSet, power, product, symmetrize
 from .progressions import ProgressionSpec, ordered_progression
 from .subgroups import span
 from .textio import parse_coord_list, parse_group
@@ -85,24 +87,18 @@ def _coords_param(parent, recipe: Recipe, key: str) -> list[tuple[int, ...]]:
 
 
 def _ball(parent, radius: int, budget: int) -> GSet:
-    if radius < 0:
-        raise RecipeError("ball radius must be nonnegative")
-    gens = GSet(parent, parent.generator_coords())
-    S = symmetrize(gens)
-    return power(S, max(radius, 1), budget) if radius else GSet.identity_set(parent)
+    if not radius:
+        return GSet.identity_set(parent)
+    return power(symmetrize(GSet(parent, parent.generator_coords())), radius, budget)
 
 
 def _interval(parent, L: int, budget: int) -> GSet:
-    if not isinstance(parent, FiniteAbelian) or len(parent.moduli) != 1:
-        raise RecipeError("interval needs a one-coordinate abelian group")
-    if L < 0:
-        raise RecipeError("interval length must be nonnegative")
     if 2 * L + 1 > budget:
         raise BudgetExceeded("interval", 2 * L + 1, budget)
     return GSet(parent, [(i,) for i in range(-L, L + 1)])
 
 
-def _progression(parent, recipe: Recipe, budget: int) -> GSet:
+def _progression_spec(parent, recipe: Recipe) -> ProgressionSpec:
     gens = tuple(Element(parent, c) for c in _coords_param(parent, recipe, "gens"))
     if not gens:
         raise RecipeError("progression needs at least one generator")
@@ -115,18 +111,12 @@ def _progression(parent, recipe: Recipe, budget: int) -> GSet:
         raise RecipeError("progression bounds must be nonnegative")
     if len(bounds) != len(gens):
         raise RecipeError(f"progression has {len(gens)} generators but {len(bounds)} bounds")
-    return ordered_progression(ProgressionSpec(gens, bounds), budget)
+    return ProgressionSpec(gens, bounds)
 
 
-def _coset_union(parent, recipe: Recipe, budget: int) -> GSet:
-    sub = [Element(parent, c) for c in _coords_param(parent, recipe, "sub")]
-    if not sub:
-        raise RecipeError("coset-union needs at least one subgroup generator")
-    reps = GSet(parent, _coords_param(parent, recipe, "reps"))
+def _coset_union(parent, sub: list[Element], reps: list[tuple[int, ...]], budget: int) -> GSet:
     H = span(sub, budget)
-    from .gset import product  # local import keeps module deps one-way
-
-    return product(symmetrize(reps), H.elements, budget)
+    return product(symmetrize(GSet(parent, reps)), H.elements, budget)
 
 
 def _sample_coords(parent, rng: random.Random, spread: int) -> tuple[int, ...]:
@@ -138,8 +128,6 @@ def _sample_coords(parent, rng: random.Random, spread: int) -> tuple[int, ...]:
 
 def _random_symmetric(parent, size: int, seed: int, budget: int) -> GSet:
     """Identity plus seeded inverse-closed draws, grown to the exact size."""
-    if size < 1:
-        raise RecipeError("size must be positive")
     rng = random.Random(seed)
     spread = max(4, size)
     chosen = {parent.identity_coords()}
@@ -162,28 +150,50 @@ def _random_symmetric(parent, size: int, seed: int, budget: int) -> GSet:
     return GSet(parent, chosen, _reduced=True)
 
 
+def check_recipe(recipe: Recipe | str) -> tuple[GroupDescriptor, Callable[[int], GSet]]:
+    """A recipe's group, and its set as a function of the budget; builds no set.
+
+    Everything `generate_example` refuses is refused here, except what needs
+    the set: the element budget, and a `random-symmetric` size that its
+    draws cannot reach.
+    """
+    if isinstance(recipe, str):
+        recipe = parse_recipe(recipe)
+    parent = parse_group(recipe.group)
+    kind, keys = recipe.kind, _KEYS.get(recipe.kind)
+    if keys is None:
+        raise RecipeError(f"unknown recipe kind {kind!r}")
+    for k, _ in recipe.params:
+        if k not in keys:
+            raise RecipeError(f"recipe {kind!r} takes {', '.join(keys)}, not {k!r}")
+    if kind == "ball":
+        radius = _int_param(recipe, "radius")
+        if radius < 0:
+            raise RecipeError("ball radius must be nonnegative")
+        return parent, partial(_ball, parent, radius)
+    if kind == "interval":
+        L = _int_param(recipe, "L")
+        if not isinstance(parent, FiniteAbelian) or len(parent.moduli) != 1:
+            raise RecipeError("interval needs a one-coordinate abelian group")
+        if L < 0:
+            raise RecipeError("interval length must be nonnegative")
+        return parent, partial(_interval, parent, L)
+    if kind == "progression":
+        return parent, partial(ordered_progression, _progression_spec(parent, recipe))
+    if kind == "coset-union":
+        sub = [Element(parent, c) for c in _coords_param(parent, recipe, "sub")]
+        if not sub:
+            raise RecipeError("coset-union needs at least one subgroup generator")
+        return parent, partial(_coset_union, parent, sub, _coords_param(parent, recipe, "reps"))
+    size, seed = _int_param(recipe, "size"), _int_param(recipe, "seed")
+    if size < 1:
+        raise RecipeError("size must be positive")
+    return parent, partial(_random_symmetric, parent, size, seed)
+
+
 def generate_example(recipe: Recipe | str, budget: int | None = None) -> GSet:
     """Build the set a recipe names; always deterministic."""
     if isinstance(recipe, str):
         recipe = parse_recipe(recipe)
     budget = resolve_budget(budget)
-    parent = parse_group(recipe.group)
-    keys = _KEYS.get(recipe.kind)
-    if keys is None:
-        raise RecipeError(f"unknown recipe kind {recipe.kind!r}")
-    for k, _ in recipe.params:
-        if k not in keys:
-            raise RecipeError(
-                f"recipe {recipe.kind!r} takes {', '.join(keys)}, not {k!r}"
-            )
-    if recipe.kind == "ball":
-        return _ball(parent, _int_param(recipe, "radius"), budget)
-    if recipe.kind == "interval":
-        return _interval(parent, _int_param(recipe, "L"), budget)
-    if recipe.kind == "progression":
-        return _progression(parent, recipe, budget)
-    if recipe.kind == "coset-union":
-        return _coset_union(parent, recipe, budget)
-    return _random_symmetric(
-        parent, _int_param(recipe, "size"), _int_param(recipe, "seed"), budget
-    )
+    return check_recipe(recipe)[1](budget)

@@ -31,7 +31,7 @@ from .approx import (
 )
 from .config import resolve_budget
 from .covering import chang_cover, ruzsa_cover
-from .errors import BudgetExceeded, FormatError, GrowthLabError
+from .errors import BudgetExceeded, FormatError, GrowthLabError, RecipeError
 from .groups import Element, FiniteAbelian
 from .gset import GSet, growth_stats, power
 from .oracle import derive_sanders_cover, difference_body, find_coset_progression
@@ -44,16 +44,16 @@ from .pipeline import (
     step_reduction,
 )
 from .progressions import ProgressionSpec, verify_chain
-from .recipes import generate_example
+from .recipes import check_recipe, generate_example
 from .subgroups import QuotientView, derived_subgroup, quotient_project
-from .textio import dumps_csv, dumps_json, parse_coord_list
+from .textio import dumps_csv, dumps_json, format_group, parse_coord_list
 
 SCHEMA = 1
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One deterministic set plus the operations to run on it."""
+    """One deterministic set plus the operations to run on it; building one checks nothing."""
 
     name: str
     recipe: str
@@ -77,9 +77,16 @@ class Scenario:
             scenario = cls(str(obj["name"]), str(obj["recipe"]), tuple(dict(op) for op in obj["ops"]))
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"scenario object is malformed: {e}")
-        for op in scenario.ops:
-            _op_params(op)  # a malformed op fails the whole file before anything runs
+        scenario.op_params()  # a malformed op fails the whole file before anything runs
         return scenario
+
+    def op_params(self) -> list[dict]:
+        """Each op's parameters, checked against the scenario's group; builds no set.
+
+        Malformed ops and recipes raise FormatError or RecipeError.
+        """
+        parent = check_recipe(self.recipe)[0]
+        return [_op_params(op, parent) for op in self.ops]
 
 
 @dataclass
@@ -183,7 +190,7 @@ _RECIPE = (_text, _REQUIRED)
 _RANK_MAX = (_int_from(0), 3)
 
 # op name -> {parameter: (converter, default)}.  Defaults are not converted;
-# keys not listed pass through.
+# any other key is refused.
 _PARAMS = {
     "stats": {"n": (_int_from(1), 3)},
     "certify": {},
@@ -212,17 +219,51 @@ _PARAMS = {
 }
 
 
-def _op_params(op) -> dict:
-    """An op's parameters, converted and with defaults filled in.
+def _b_in_group(params, parent) -> None:
+    b = params["b"]
+    try:
+        group = check_recipe(b)[0]
+    except (FormatError, RecipeError) as e:
+        raise ValueError(f"bad 'b' {b!r}: {e}")
+    if group != parent:
+        raise ValueError(f"'b' {b!r} is not in the scenario's group {format_group(parent)}")
+
+
+def _chain_in_group(params, parent) -> None:
+    # Coordinates of the wrong arity and unmatched bounds raise ValueError.
+    params["spec"] = ProgressionSpec(tuple(parent.element(c) for c in params["gens"]), params["bounds"])
+    step = params["step"]
+    if step is not None and step > parent.structural_step:
+        raise ValueError(f"step {step} is above the structural step {parent.structural_step}")
+
+
+def _hom_in_group(params, parent) -> None:
+    if not isinstance(parent, FiniteAbelian) or len(parent.moduli) != 1:
+        raise ValueError(f"needs a one-coordinate cyclic group, not {format_group(parent)}")
+
+
+# op name -> check of its converted parameters against the scenario's group.
+_IN_GROUP = {"ruzsa": _b_in_group, "slice": _b_in_group, "chain": _chain_in_group, "hom": _hom_in_group}
+
+
+def _op_params(op, parent) -> dict:
+    """An op's parameters, converted, defaults filled in, checked against `parent`.
 
     Unknown op names pass unchecked: running them records a failure.
-    Malformed parameters of a known op raise FormatError.
+    Malformed parameters of a known op, and keys it does not read, raise
+    FormatError.
     """
     if not isinstance(op, dict) or not isinstance(op.get("op"), str):
         raise FormatError(f"scenario op must be an object with an 'op' name, got {op!r}")
     name = op["op"]
     params = {k: v for k, v in op.items() if k != "op"}
-    for key, (convert, default) in _PARAMS.get(name, {}).items():
+    schema = _PARAMS.get(name)
+    if schema is None:
+        return params
+    for key in params:
+        if key not in schema:
+            raise FormatError(f"op {name!r} takes {', '.join(schema) or 'no parameters'}, not {key!r}")
+    for key, (convert, default) in schema.items():
         if key not in params:
             if default is _REQUIRED:
                 raise FormatError(f"op {name!r} needs parameter {key!r}")
@@ -232,6 +273,11 @@ def _op_params(op) -> dict:
             params[key] = convert(params[key])
         except (TypeError, ValueError, ArithmeticError, FormatError) as e:
             raise FormatError(f"op {name!r}: bad {key!r} {params[key]!r}: {e}")
+    if name in _IN_GROUP:
+        try:
+            _IN_GROUP[name](params, parent)
+        except ValueError as e:
+            raise FormatError(f"op {name!r}: {e}")
     return params
 
 
@@ -325,16 +371,8 @@ def _op_slice(state, params, budget):
 
 
 def _op_chain(state, params, budget):
-    parent = state["set"].parent
-    try:
-        gens = tuple(parent.element(c) for c in params["gens"])
-        spec = ProgressionSpec(gens, params["bounds"])
-    except ValueError as e:  # coordinates of the wrong arity, bounds that do not match
-        raise FormatError(f"op 'chain': {e}")
-    step = params["step"]
-    if step is not None and step > parent.structural_step:
-        raise FormatError(f"op 'chain': step {step} is above the structural step {parent.structural_step}")
-    cc = verify_chain(spec, step, budget)
+    spec = params["spec"]
+    cc = verify_chain(spec, params["step"], budget)
     return {
         "rank": spec.rank,
         "step": cc.step,
@@ -364,8 +402,6 @@ def _centred_rep(c: int, n: int) -> int:
 
 def _build_partial_map(A: GSet, params) -> PartialMap:
     parent = A.parent
-    if not isinstance(parent, FiniteAbelian) or len(parent.moduli) != 1:
-        raise FormatError("hom construction needs a one-coordinate cyclic group")
     n = parent.moduli[0]
     kind = params["kind"]
     if kind == "lift":
@@ -525,7 +561,7 @@ def _op_decompose(state, params, budget):
 
 def _op_corollary(state, params, budget):
     if "dec" not in state:
-        _op_decompose(state, _op_params({"op": "decompose"}), budget)
+        _op_decompose(state, {}, budget)
     dec = state["dec"]
     if isinstance(dec, GrowthLabError):
         raise type(dec)(*dec.args)
@@ -588,20 +624,21 @@ _HARD_KEYS = (
 def run_scenario(scenario: Scenario, budget: int | None = None) -> Report:
     """Execute the ops in order; records failures, aborts only on budget.
 
-    A BudgetExceeded leaves with `scenario` and `scenario_op` set to the
+    `op_params` refuses malformed input before the set is built.  A
+    BudgetExceeded leaves with `scenario` and `scenario_op` set to the
     scenario's name and the op that ran out ("recipe" while building the
     set); it is the same exception object, traceback included.
     """
     budget = resolve_budget(budget)
+    checked = scenario.op_params()
     report = Report(scenario.name)
     try:
         state = {"set": generate_example(scenario.recipe, budget)}
     except BudgetExceeded as e:
         e.scenario, e.scenario_op = scenario.name, "recipe"
         raise
-    for op in scenario.ops:
-        name = op.get("op")
-        params = _op_params(op)
+    for op, params in zip(scenario.ops, checked):
+        name = op["op"]
         rec = {"op": name, "scenario": scenario.name}
         if name not in _OPS:
             rec.update({"passed": False, "error": f"unknown op {name!r}"})

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from .config import resolve_budget
 from .errors import BudgetExceeded, NotNilpotent, ParentMismatch
 from .groups import Element, GroupDescriptor
-from .gset import GSet, product
+from .gset import GSet
 
 
 @dataclass(frozen=True)
@@ -379,23 +379,3 @@ def quotient_project(q: QuotientView, A: GSet) -> GSet:
         raise ParentMismatch("set does not live in the base of the quotient")
     return GSet(q, (q.reduce(c) for c in A.members), _reduced=True)
 
-
-def preimage_subgroup(
-    q: QuotientView, S: SubgroupHandle, budget: int | None = None
-) -> SubgroupHandle:
-    """Full preimage in the base of a subgroup of the quotient: the product S·K."""
-    if S.parent != q:
-        raise ParentMismatch("subgroup does not live in this quotient")
-    reps = GSet(q.base, S.elements.members, _reduced=True)
-    return SubgroupHandle(q.base, product(reps, q.kernel.elements, budget))
-
-
-def enumerate_parent(parent, budget: int | None = None) -> GSet:
-    """All elements of a finite parent as a GSet."""
-    budget = resolve_budget(budget)
-    out = set()
-    for c in parent.iter_coords():
-        out.add(c)
-        if len(out) > budget:
-            raise BudgetExceeded("enumerate_parent", len(out), budget)
-    return GSet(parent, out, _reduced=True)

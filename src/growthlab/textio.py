@@ -146,5 +146,8 @@ def write_text(text: str, out: str | None) -> None:
     if out is None:
         print(text, end="")
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise FormatError(f"cannot write {out!r}: {e.strerror}")

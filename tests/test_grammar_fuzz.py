@@ -134,6 +134,15 @@ def test_recipes_run_or_raise_growthlab_error(text):
 # more than the report's JSON may print.
 @example({"name": "s", "recipe": "ball ab:7 radius=0",
           "ops": [{"op": "chain", "gens": "1", "bounds": "1", "step": 36}]})
+# Malformed op input checked against the scenario's group before anything runs.
+@example({"name": "s", "recipe": "ball ab:7 radius=1",
+          "ops": [{"op": "chain", "gens": "1,0", "bounds": "1"}, {"op": "stats"}]})
+@example({"name": "s", "recipe": "ball ab:7,7 radius=1", "ops": [{"op": "hom"}]})
+@example({"name": "s", "recipe": "interval ab:7 L=1", "ops": [{"op": "ruzsa", "b": "ball xy:9 radius=1"}]})
+@example({"name": "s", "recipe": "interval ab:7 L=1",
+          "ops": [{"op": "slice", "b": "interval ab:7 L=x", "m": 2, "n": 2}]})
+@example({"name": "s", "recipe": "interval ab:7 L=1", "ops": [{"op": "ruzsa", "b": "interval ab:11 L=1"}]})
+@example({"name": "s", "recipe": "interval ab:7 L=1", "ops": [{"op": "stats", "N": 5}]})
 def test_scenario_files_run_or_raise_growthlab_error(obj):
     try:
         objs = obj if isinstance(obj, list) else [obj]

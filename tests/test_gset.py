@@ -32,7 +32,6 @@ from growthlab import (
     product,
     span,
     symmetrize,
-    translate,
 )
 
 Z101 = FiniteAbelian((101,))
@@ -89,12 +88,6 @@ def test_power_zero_is_identity():
     A = _gs(H3, [(1, 0, 0)])
     P0 = power(A, 0)
     assert len(P0) == 1 and P0.contains_identity()
-
-
-def test_translate():
-    A = _gs(Z101, [0, 1])
-    T = translate(A.parent.element((10,)), A)
-    assert T.members == frozenset({(10,), (11,)})
 
 
 def test_growth_stats_values_and_warning():

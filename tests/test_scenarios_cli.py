@@ -1,4 +1,5 @@
 """Scenario runner, suite determinism, the command-line surface and the scripts."""
+import importlib.util
 import json
 import os
 import pathlib
@@ -8,6 +9,8 @@ import sys
 
 import pytest
 
+import growthlab
+import growthlab.gset as gset
 import growthlab.scenarios as scenarios
 from growthlab import (
     BudgetExceeded,
@@ -170,6 +173,10 @@ def test_cli_bad_input_exit_two(capsys, monkeypatch):
     assert "RecipeError" in capsys.readouterr().err
     assert main(["prog", "verify", "ut:3:0", "--gens", "1,0", "--bounds", "1"]) == 2
     assert "FormatError" in capsys.readouterr().err
+    assert main(["suite", "nosuch"]) == 2
+    assert "FormatError: no builtin suite or scenario file 'nosuch'" in capsys.readouterr().err
+    assert main(["cover", "ruzsa", "interval", "ab:7", "L=1"]) == 2
+    assert "FormatError: op 'ruzsa' needs parameter 'b'" in capsys.readouterr().err
     # decompose fixes its oracle rank; the flag is for factorize and reduce
     assert main(["pipeline", "decompose", "ball", "ut:3:3", "radius=1", "--rank-max", "1"]) == 2
     assert "FormatError" in capsys.readouterr().err
@@ -314,14 +321,15 @@ def test_cli_non_integer_op_parameter_exit_two(tmp_path, capsys):
 
 
 def test_chain_op_and_prog_refuse_mismatched_generators(capsys):
-    # Wrong arity or one bound too few: a typed error, not a ValueError.
+    # Wrong arity, one bound too few or a negative bound: a FormatError from
+    # the op check, before the scenario's set is built.
     for gens, bounds in (("1,0", "1"), ("1|2", "1"), ("1", "-1")):
-        rec = run_scenario(
-            Scenario("s", "interval ab:7 L=1", ({"op": "chain", "gens": gens, "bounds": bounds},))
-        ).records[0]
-        assert rec["passed"] is False and rec["error"].startswith("FormatError")
+        s = Scenario("s", "interval ab:7 L=1", ({"op": "chain", "gens": gens, "bounds": bounds},))
+        for check in (lambda: run_scenario(s), lambda: Scenario.from_obj(s.to_obj())):
+            with pytest.raises(FormatError, match="^op 'chain': "):
+                check()
         assert main(["prog", "build", "ab:7", "--gens", gens, "--bounds", bounds]) == 2
-        assert "FormatError" in capsys.readouterr().err
+        assert "FormatError: op 'chain': " in capsys.readouterr().err
 
 
 def test_chain_step_above_the_structural_step_exits_two(capsys):
@@ -329,12 +337,99 @@ def test_chain_step_above_the_structural_step_exits_two(capsys):
     for step in ("36", "99999999999"):
         argv = ["prog", "verify", "ab:7", "--gens", "1", "--bounds", "1", "--step", step]
         assert main(argv) == 2
-        assert "FormatError: --step" in capsys.readouterr().err
-    rec = run_scenario(
-        Scenario("s", "ball ab:7 radius=0", ({"op": "chain", "gens": "1", "bounds": "1", "step": 36},))
-    ).records[0]
-    assert rec["passed"] is False and rec["error"].startswith("FormatError")
+        out, err = capsys.readouterr()
+        assert out == "" and f"FormatError: op 'chain': step {step} is above the structural step 1" in err
+    s = Scenario("s", "ball ab:7 radius=0", ({"op": "chain", "gens": "1", "bounds": "1", "step": 36},))
+    with pytest.raises(FormatError, match="step 36 is above the structural step 1"):
+        run_scenario(s)
     assert main(["prog", "verify", "ut:3:0", "--gens", "1,0,0|0,0,1", "--bounds", "1,1", "--step", "2"]) == 0
+
+
+def test_cli_unknown_op_key_exit_two(tmp_path, capsys):
+    # A key the op does not read is refused, not dropped: "N" is not "n".
+    for op, message in (({"op": "stats", "N": 5}, "op 'stats' takes n, not 'N'"),
+                        ({"op": "certify", "n": 3}, "op 'certify' takes no parameters, not 'n'")):
+        assert main(["suite", _scenario_file(tmp_path, [op])]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"FormatError: {message}" in err
+
+
+# Malformed op input that ran as a failed record, after the scenarios before
+# it, until the op check took the scenario's group into account.
+MALFORMED_OPS = (
+    ("ball ab:7 radius=0", [{"op": "chain", "gens": "1", "bounds": "1", "step": 36}]),
+    ("ball ab:7 radius=1", [{"op": "chain", "gens": "1,0", "bounds": "1"}, {"op": "stats"}]),
+    ("ball ab:7,7 radius=1", [{"op": "hom"}]),
+    ("interval ab:7 L=1", [{"op": "ruzsa", "b": "ball xy:9 radius=1"}]),
+    ("interval ab:7 L=1", [{"op": "slice", "b": "interval ab:7 L=x", "m": 2, "n": 2}]),
+    ("interval ab:7 L=1", [{"op": "ruzsa", "b": "interval ab:11 L=1"}]),
+)
+
+
+@pytest.mark.parametrize("recipe, ops", MALFORMED_OPS)
+def test_malformed_op_input_exits_two_before_any_scenario_runs(tmp_path, capsys, monkeypatch, recipe, ops):
+    built = []
+    real = scenarios.generate_example
+    monkeypatch.setattr(scenarios, "generate_example", lambda *a: built.append(a) or real(*a))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps([
+        Scenario("fine", "interval ab:7 L=1", ({"op": "stats"},)).to_obj(),
+        {"schema": 1, "name": "bad", "recipe": recipe, "ops": ops},
+    ]))
+    assert main(["suite", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "FormatError: op " in err
+    assert built == []
+
+
+def test_cover_by_a_set_of_another_group_exits_two(capsys):
+    assert main(["cover", "ruzsa", "interval", "ab:7", "L=1", "--by", "interval", "ab:11", "L=1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "FormatError: op 'ruzsa': 'b' 'interval ab:11 L=1' is not in the scenario's group ab:7" in err
+
+
+def test_cli_unreadable_or_unwritable_paths_exit_two(tmp_path, capsys):
+    scen = _scenario_file(tmp_path, [{"op": "stats"}])
+    for argv, message in ((["suite", str(tmp_path)], "cannot read scenario file"),
+                          (["suite", scen, "--out", str(tmp_path)], "cannot write"),
+                          (["suite", scen, "--out", str(tmp_path / "missing" / "x.json")], "cannot write")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"FormatError: {message} '{tmp_path}" in err
+
+
+def _benchmark_scenarios() -> list:
+    """Every scenario of the BENCHMARK.json workloads at seeds 0-2.
+
+    perfbench/workloads.py is only read, as scripts/row_pairs.py reads it:
+    no bytecode cache is written beside it.
+    """
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return [s for name in names for seed in range(3) for s in mod.WORKLOADS[name](growthlab, seed)]
+
+
+def test_the_op_check_accepts_every_builtin_and_benchmark_scenario_and_builds_no_set(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the op check built a set")
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("growthlab")]:
+        for name, fn in (("power", gset.power), ("product", gset.product)):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(gset.GSet, "__init__", refuse)
+    checked = [s for build in scenarios.SUITES.values() for s in build()] + _benchmark_scenarios()
+    assert len(checked) > 474 * 3
+    for s in checked:
+        assert len(Scenario.from_obj(s.to_obj()).op_params()) == len(s.ops)
 
 
 def test_stats_counts_every_power_it_reads_against_the_budget(capsys):
