@@ -6,8 +6,8 @@ Usage:  python3 scripts/row_pairs.py --workload finite-nilpotent --seed 1
 A row pair is one product a descriptor's row kernel computes:
 `left_row(a, bs)` costs |bs| pairs and `right_row(as_, b)` costs |as_|.
 Every backend's two row kernels are wrapped from outside.  A row that
-another row computes on its behalf (a `QuotientView` row through its base)
-is counted once, for the outer call.
+another row computes on its behalf (the base row of a `QuotientView` whose
+kernel is not a coordinate kernel) is counted once, for the outer call.
 Pairs are grouped by the library function that called the kernel, with
 comprehensions and lambdas booked to the function around them.
 

@@ -250,7 +250,7 @@ class Unitriangular(GroupDescriptor):
 
 
 @cache
-def _ut_kernels(n: int, m: int) -> tuple:
+def _ut_kernels(n: int, m: int, zero: tuple[int, ...] = ()) -> tuple:
     """Straight-line (mul, left_row, right_row, inv) of UT(n, Z_m), compiled once.
 
     Entry (i, j) of a·b is a_ij + b_ij + Σ a_it·b_tj over i < t < j, and
@@ -258,6 +258,10 @@ def _ut_kernels(n: int, m: int) -> tuple:
     first.  The generated source names coordinate k of a, b and e as ak,
     bk and ek, and reduces each entry modulo the literal m (m = 0: not at
     all); the plain per-coordinate reference is in tests/test_kernels.py.
+
+    Coordinates in `zero` are written as 0.  For a set Z closed rightward
+    along rows and upward along columns no other entry reads them, so this
+    is the law of UT(n, Z_m)/K, K every tuple supported on Z (`QuotientView`).
     """
     idx = Unitriangular(n, m).pos_index
     table = [  # (k, its index pairs (idx(i,t), idx(t,j))) per position k = (i, j), by gap
@@ -265,7 +269,9 @@ def _ut_kernels(n: int, m: int) -> tuple:
         for gap in range(1, n) for i in range(n - gap)
     ]
 
-    def entry(terms):
+    def entry(k, terms):
+        if k in zero:
+            return "0"
         return f"({' '.join(terms)}) % {m}" if m else " ".join(terms)
 
     def coords(x):
@@ -273,10 +279,10 @@ def _ut_kernels(n: int, m: int) -> tuple:
 
     a, b, e = coords("a"), coords("b"), coords("e")
     ab = "(" + "".join(
-        entry([f"a{k} + b{k}"] + [f"+ a{s} * b{t}" for s, t in pairs]) + ", " for k, pairs in sorted(table)
+        entry(k, [f"a{k} + b{k}"] + [f"+ a{s} * b{t}" for s, t in pairs]) + ", " for k, pairs in sorted(table)
     ) + ")"
     solve = "".join(
-        f"    e{k} = {entry([f'-a{k}'] + [f'- a{s} * e{t}' for s, t in pairs])}\n" for k, pairs in table
+        f"    e{k} = {entry(k, [f'-a{k}'] + [f'- a{s} * e{t}' for s, t in pairs])}\n" for k, pairs in table
     )
     src = (
         f"def mul(a, b):\n    {a} = a\n    {b} = b\n    return {ab}\n"
@@ -285,7 +291,7 @@ def _ut_kernels(n: int, m: int) -> tuple:
         f"def inv(a):\n    {a} = a\n{solve}    return {e}\n"
     )
     ns: dict = {}
-    exec(compile(src, f"<ut:{n}:{m} kernels>", "exec"), ns)
+    exec(compile(src, f"<ut:{n}:{m} kernels, zero {zero}>", "exec"), ns)
     return ns["mul"], ns["left_row"], ns["right_row"], ns["inv"]
 
 

@@ -160,6 +160,10 @@ def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
     enumerated and the size of each power.  Without 1 the step is the plain
     product A^k·A.  Once A^{k+1} = A^k every later power is that set too.
 
+    In a finite G with fewer elements outside A^k than in its newest layer
+    F, the step pulls: it adds each g ∉ A^k of `iter_coords()` whose g·A⁻¹
+    meets F, i.e. g ∈ F·A, from fewer pairs; |G| < 2|A^k| bounds that walk.
+
     In a finite parent the walk is shared: A keeps [A², A³, ...] and a later
     walk replays those layers before it extends them.  Each step checks the
     pairs it costs (|A^k∖A^{k−1}|·|A| with 1 ∈ A, |A^k|·|A| without) and the
@@ -175,6 +179,7 @@ def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
     walk = A._walk if keep else []
     unit = A.contains_identity()
     left_row = A.parent.left_row
+    order, inv_A = A.parent.order() if keep else None, None
     prev, cur = frozenset((A.parent.identity_coords(),)), A
     k = 0
     while True:
@@ -185,9 +190,16 @@ def powers(A: GSet, budget: int | None = None) -> Iterator[GSet]:
             nxt = walk[k]
         else:
             if unit:
-                out = set(cur.members)
-                for f in cur.members - prev:
-                    out.update(left_row(f, A.members))
+                out, layer = set(cur.members), cur.members - prev
+                if keep and order - len(cur) < len(layer):  # pull
+                    inv_A = inv_A or [A.parent.inv(a) for a in A.members]
+                    out.update(
+                        g for g in A.parent.iter_coords()
+                        if g not in cur.members and not layer.isdisjoint(left_row(g, inv_A))
+                    )
+                else:
+                    for f in layer:
+                        out.update(left_row(f, A.members))
                 nxt = GSet(A.parent, out, _reduced=True)
             else:
                 nxt = product(cur, A, budget)

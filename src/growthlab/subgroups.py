@@ -6,11 +6,12 @@ BudgetExceeded rather than looping.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 from .config import resolve_budget
 from .errors import BudgetExceeded, NotNilpotent, ParentMismatch
-from .groups import Element, GroupDescriptor
+from .groups import Element, GroupDescriptor, Unitriangular, _ut_kernels
 from .gset import GSet
 
 
@@ -256,13 +257,34 @@ def step_of_generated(gens, budget: int | None = None) -> int:
     return step
 
 
+def _coordinate_kernel(base, kernel: SubgroupHandle) -> tuple[int, ...] | None:
+    """Z, sorted, when the kernel is every tuple of a finite ut:n:m supported
+    on Z, closed rightward along rows and upward along columns; else None.
+    Z is where some member is not 0, so the kernel is all of it iff |K| = m^|Z|."""
+    if not isinstance(base, Unitriangular) or not base.modulus:
+        return None
+    members = kernel.elements.members
+    Z = {k for c in members for k, x in enumerate(c) if x}
+    idx, n = base.pos_index, base.n
+    closed = all(
+        (j + 1 == n or idx[(i, j + 1)] in Z) and (i == 0 or idx[(i - 1, j)] in Z)
+        for i, j in (base.positions[k] for k in Z)
+    )
+    return tuple(sorted(Z)) if closed and len(members) == base.modulus ** len(Z) else None
+
+
 class QuotientView(GroupDescriptor):
     """G/K presented on canonical coset representatives.
 
     Wraps a base descriptor and a finite kernel subgroup; every coset is
-    represented by its least canonical coordinate tuple, and arithmetic reduces
-    through the base group.  Valid on elements of any subgroup in which the
-    kernel is normal (tracked via the kernel's normality verdict).
+    represented by its least canonical coordinate tuple.  Valid on elements
+    of any subgroup in which the kernel is normal (tracked via the kernel's
+    normality verdict).
+
+    With a coordinate kernel (`_coordinate_kernel`) the least members have
+    Z's entries 0 and `_kernels` is the base law with them written as 0
+    (`_ut_kernels`).  With any other, `_kernels` is None and arithmetic runs
+    in the base, then reduces through a cache of coset representatives.
     """
 
     def __init__(self, base, kernel: SubgroupHandle):
@@ -274,6 +296,8 @@ class QuotientView(GroupDescriptor):
         self.kernel = kernel
         self._rep_cache: dict[tuple, tuple] = {}
         self._kernel_sorted = kernel.elements.sorted_members()
+        self._zero = _coordinate_kernel(base, kernel)
+        self._kernels = None if self._zero is None else _ut_kernels(base.n, base.modulus, self._zero)
 
     # --- descriptor interface -------------------------------------------
     @property
@@ -285,6 +309,9 @@ class QuotientView(GroupDescriptor):
         return self.base.structural_step
 
     def reduce(self, coords):
+        law = self._kernels
+        if law:  # c·1 is c with Z's entries set to 0
+            return law[0](self.base.reduce(tuple(coords)), self.base.identity_coords())
         # Cache keys are canonical base coordinates, so a hit on the raw input
         # is exact; base arithmetic already returns canonical tuples, which
         # keeps base.reduce off the hot path of mul and inv.  A miss computes
@@ -304,21 +331,27 @@ class QuotientView(GroupDescriptor):
         return r
 
     def mul(self, a, b):
-        return self.reduce(self.base.mul(a, b))
+        law = self._kernels
+        return law[0](a, b) if law else self.reduce(self.base.mul(a, b))
 
     # A base row is canonical, so each entry is one cache lookup; only a
     # miss (a coset not met before) goes through `reduce`.  Representatives
     # are nonempty tuples, hence true.
     def left_row(self, a, bs):
+        if self._kernels:
+            return self._kernels[1](a, bs)
         get, reduce = self._rep_cache.get, self.reduce
         return [get(c) or reduce(c) for c in self.base.left_row(a, bs)]
 
     def right_row(self, as_, b):
+        if self._kernels:
+            return self._kernels[2](as_, b)
         get, reduce = self._rep_cache.get, self.reduce
         return [get(c) or reduce(c) for c in self.base.right_row(as_, b)]
 
     def inv(self, a):
-        return self.reduce(self.base.inv(a))
+        law = self._kernels
+        return law[3](a) if law else self.reduce(self.base.inv(a))
 
     def identity_coords(self):
         return self.base.identity_coords()
@@ -341,6 +374,10 @@ class QuotientView(GroupDescriptor):
         return o // len(self.kernel.elements)
 
     def iter_coords(self):
+        if self._zero is not None:  # the tuples with Z's entries 0, in the same order
+            m, zero = self.base.modulus, self._zero
+            yield from itertools.product(*(range(1 if k in zero else m) for k in range(self.arity)))
+            return
         seen = set()
         for c in self.base.iter_coords():
             r = self.reduce(c)

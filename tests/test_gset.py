@@ -3,7 +3,9 @@
 A product with a subgroup (the elements of a `SubgroupHandle`) goes coset by
 coset; `ref_product` is the plain double loop, which checks the budget on
 the pairs and on the size, and a hypothesis property pins the coset path to
-it.
+it.  A power walk that pulls its last layers in a finite parent is pinned
+the same way to `ref_push_walk`, repeated products under the push step's
+checks.
 """
 import itertools
 import tracemalloc
@@ -22,6 +24,7 @@ from growthlab import (
     SubgroupHandle,
     Unitriangular,
     certify,
+    generate_example,
     growth_stats,
     heisenberg,
     inverse_set,
@@ -306,3 +309,57 @@ def test_product_with_the_identity_is_the_other_operand():
     with pytest.raises(BudgetExceeded) as ei:
         product(X, GSet.identity_set(G), budget=1)
     assert (ei.value.op, ei.value.needed) == ("product", 2)
+
+
+# --------------------------------------------------------------------------
+# Power walks that pull their last layer, against repeated products
+
+
+def ref_push_walk(A, n):
+    """[A, …, Aⁿ] as member sets by repeated product(cur, A), and the values
+    the push step checks against the budget on the way, in order: the newest
+    layer's pairs (|A^k| − |A^{k−1}|)·|A|, then |A^{k+1}|.  A power equal
+    to the one before ends the walk, as in `power_chain`."""
+    chain, checks, prev = [A], [], 1
+    while len(chain) < n:
+        cur = chain[-1]
+        nxt = product(cur, A)
+        checks += [(len(cur) - prev) * len(A), len(nxt)]
+        if nxt.members == cur.members:
+            break
+        chain.append(nxt)
+        prev = len(cur)
+    return [S.members for S in chain] + [chain[-1].members] * (n - len(chain)), checks
+
+
+_WALK_GROUPS = [parse_group(t) for t in (
+    "ut:3:2", "ut:3:3", "ut:3:5", "ut:3:7", "ut:4:2", "ab:3,5", "ab:5,7", "prod:(ab:2);(ut:3:3)",
+)]
+_WALK_POOLS = {G: sorted(G.iter_coords()) for G in _WALK_GROUPS}
+
+
+@st.composite
+def _walk_case(draw):
+    """A symmetric set with 1 in a finite group, and a chain length that
+    usually runs the walk into the last few elements of the group."""
+    G = draw(st.sampled_from(_WALK_GROUPS))
+    coords = draw(st.lists(st.sampled_from(_WALK_POOLS[G]), min_size=1, max_size=4))
+    return symmetrize(GSet(G, coords, _reduced=True)), draw(st.integers(2, 12))
+
+
+@example(case=(generate_example("ball ut:3:7 radius=2"), 8))
+@example(case=(generate_example("random-symmetric ut:3:7 size=9 seed=1071"), 12))
+@settings(max_examples=200, deadline=None)
+@given(_walk_case())
+def test_power_chain_pulls_what_repeated_products_push(case):
+    A, n = case
+    chain, checks = ref_push_walk(A, n)
+    needed = max(checks)
+    fresh = GSet(A.parent, A.members, _reduced=True)  # no stored walk
+    for budget in (needed - 1, needed):  # the second call resumes the stored walk
+        over = [c for c in checks if c > budget]
+        try:
+            got = [S.members for S in power_chain(fresh, n, budget)]
+        except BudgetExceeded as e:
+            got = (e.op, e.needed, e.budget)
+        assert got == (("product", over[0], budget) if over else chain)

@@ -3,8 +3,11 @@
 The backends in `growthlab.groups` specialise `reduce`/`mul`/`inv` per
 descriptor (one-coordinate abelian groups, straight-line code compiled once
 per (n, m) for every UT(n, Z_m), precomputed factor slices for direct
-products), and `QuotientView.reduce` fills its cache a whole coset at a
-time.  The functions below are the generic implementations they replaced;
+products).  A `QuotientView` whose kernel is every tuple supported on a
+set Z of coordinates runs the same generated code with Z's entries written
+as 0; with any other kernel its `reduce` reduces in the base and fills its
+cache a whole coset at a time.  The functions below are the generic
+implementations they replaced;
 every fast path must agree with them on arbitrary integer input, including
 entries far beyond 64 bits, and for every n the descriptor parser accepts,
 since each n has its own generated code.  The row kernels `left_row` and
@@ -15,8 +18,8 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import FiniteAbelian, Unitriangular, parse_group
-from growthlab.subgroups import QuotientView, derived_subgroup, normal_closure, span
+from growthlab import Element, FiniteAbelian, Unitriangular, parse_group
+from growthlab.subgroups import QuotientView, _commutator_levels, derived_subgroup, normal_closure, span
 from growthlab.textio import MAX_UT_N
 
 
@@ -156,14 +159,32 @@ def test_unitriangular_matches_reference(case):
     assert G.mul(ca, G.inv(ca)) == G.identity_coords()
 
 
+def ref_first_seen(q: QuotientView) -> list:
+    """Each coset's least member, in the order a walk of the base meets the
+    coset first; that first member is its least, as the walk is sorted."""
+    seen, out = set(), []
+    for c in q.base.iter_coords():
+        if c not in seen:
+            coset = [ref_ut_mul(q.base, c, k) for k in q.kernel.elements.members]
+            seen.update(coset)
+            out.append(min(coset))
+    return out
+
+
+def _diagonal(U):
+    """{(a, c, a)} in ut:3:p: normal, as it holds γ₂, yet p² < p³ = m^|support|."""
+    return span([U.element((1, 0, 1)), U.element((0, 1, 0))])
+
+
+def _between(U4):
+    """{x ∈ γ₂ of ut:4:2 : x₀₂ = x₁₃}: normal, as it holds γ₃, but no coordinate kernel."""
+    return normal_closure([U4.element((0, 1, 0, 0, 1, 0)), U4.element((0, 0, 1, 0, 0, 0))], U4.generators())
+
+
 def _quotients():
     H5 = Unitriangular(3, 5)
     U4 = Unitriangular(4, 2)
-    x = U4.element((1, 0, 0, 0, 0, 0))
-    return (
-        QuotientView(H5, derived_subgroup(H5.generators())),
-        QuotientView(U4, normal_closure(span([x]), U4.generators())),
-    )
+    return (QuotientView(H5, _diagonal(H5)), QuotientView(U4, _between(U4)))
 
 
 _QUOTIENTS = _quotients()
@@ -173,9 +194,11 @@ _QUOTIENTS = _quotients()
 @given(st.sampled_from(range(len(_QUOTIENTS))), st.data())
 def test_quotient_reduce_matches_base_reduce_first(which, data):
     q = _QUOTIENTS[which]
+    assert q._kernels is None
     raw = data.draw(_coords(q.arity, st.integers(-40, 40)))
     expected = ref_quotient_reduce(q, raw)
     assert q.reduce(list(raw)) == expected
+    assert q._rep_cache  # the coset met is filed
     assert q.reduce(raw) == expected
     # Canonical input (a cache hit after the line above) gives the same answer.
     assert q.reduce(q.base.reduce(raw)) == expected
@@ -185,15 +208,16 @@ def test_quotient_reduce_matches_base_reduce_first(which, data):
 
 
 def _coset_fill_views():
-    """(base, kernel) of quotients of ut:3:p and ut:4:2, built fresh per example."""
+    """(base, kernel) of quotients of ut:3:p and ut:4:2 that keep the coset
+    cache, built fresh per example."""
     out = []
     for p in (2, 3, 5):
         U = Unitriangular(3, p)
-        out.append((U, derived_subgroup(U.generators())))
+        out.append((U, _diagonal(U)))
         out.append((U, span([U.element((1, 0, 0))])))  # not normal: cosets still exact
     U4 = Unitriangular(4, 2)
-    out.append((U4, normal_closure(span([U4.element((1, 0, 0, 0, 0, 0))]), U4.generators())))
-    out.append((U4, derived_subgroup(U4.generators())))
+    out.append((U4, _between(U4)))
+    out.append((U4, span([U4.element((1, 0, 0, 0, 0, 0))])))
     return out
 
 
@@ -205,15 +229,61 @@ _FILL_VIEWS = _coset_fill_views()
 def test_quotient_coset_fill_matches_reference(which, data):
     base, kernel = _FILL_VIEWS[which]
     q = QuotientView(base, kernel)
+    assert q._kernels is None
     raws = data.draw(st.lists(_coords(q.arity, st.integers(-40, 40)), min_size=1, max_size=6))
     for raw in raws:
         assert q.reduce(raw) == ref_quotient_reduce(q, raw)
     # Every cached entry is the least member of its key's coset, and every
     # coset met is cached whole.
     cache = q._rep_cache
+    assert cache
     for key, rep in cache.items():
         assert rep == ref_quotient_reduce(q, key)
     assert len(cache) == len(kernel.elements) * len(set(cache.values()))
+
+
+def _coordinate_views():
+    """Quotients of ut:3:{2,3,5,7}, ut:4:{2,3} and ut:5:2 by every coordinate
+    kernel met in decompositions: G = γ₁, each γ_k down to the centre, and
+    the normal closure of e₁₂."""
+    out = []
+    for n, ms in ((3, (2, 3, 5, 7)), (4, (2, 3)), (5, (2,))):
+        for m in ms:
+            U = Unitriangular(n, m)
+            gens = U.generators()
+            levels = _commutator_levels(U, gens, n - 1, 10**6, "gamma")
+            kernels = [span(gens)] + [normal_closure([Element(U, c) for c in lv], gens) for lv in levels[1:]]
+            kernels.append(normal_closure([gens[0]], gens))
+            out += [QuotientView(U, K) for K in kernels]
+    return out
+
+
+_COORDINATE_VIEWS = _coordinate_views()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(_COORDINATE_VIEWS))), st.data())
+def test_coordinate_quotient_law_matches_reference(which, data):
+    q = _COORDINATE_VIEWS[which]
+    U = q.base
+    assert q._kernels is not None
+    a, b = data.draw(_coords(q.arity)), data.draw(_coords(q.arity))
+    xs = data.draw(st.lists(_coords(q.arity), max_size=4))
+
+    def ref(c):
+        return ref_quotient_reduce(q, c)
+
+    assert q.reduce(a) == q.reduce(list(a)) == ref(a)
+    assert q.mul(a, b) == ref(ref_ut_mul(U, a, b))
+    assert q.inv(a) == ref(ref_ut_inv(U, a))
+    assert q.left_row(a, xs) == [ref(ref_ut_mul(U, a, x)) for x in xs]
+    assert q.right_row(xs, b) == [ref(ref_ut_mul(U, x, b)) for x in xs]
+    assert not q._rep_cache
+
+
+def test_quotient_enumeration_is_first_seen_order():
+    for q in _COORDINATE_VIEWS + list(_QUOTIENTS):
+        assert list(q.iter_coords()) == ref_first_seen(q)
 
 
 _PRODUCTS = (parse_group("prod:(ab:2);(ut:3:3)"), parse_group("prod:(ab:0,5);(ut:3:0);(ut:4:2)"))
@@ -268,7 +338,7 @@ def test_abelian_and_product_rows_match_mul(case):
 @given(st.sampled_from((3, 5, 7)), st.booleans(), st.data())
 def test_quotient_rows_match_reference_cold_and_warm(p, warm, data):
     U = Unitriangular(3, p)
-    q = QuotientView(U, derived_subgroup(U.generators()))  # a fresh, cold cache
+    q = QuotientView(U, _diagonal(U))  # a fresh, cold cache
     canonical = _coords(3, st.integers(0, p - 1))
     a, b = data.draw(canonical), data.draw(canonical)
     xs = data.draw(st.lists(canonical, max_size=8))
@@ -300,7 +370,7 @@ def test_kernels_stay_class_level_and_tables_stay_out_of_equality():
     P = _PRODUCTS[0]
     assert P.mul(P.identity_coords(), P.identity_coords()) == P.identity_coords()
     assert P == parse_group("prod:(ab:2);(ut:3:3)") and hash(P) == hash(parse_group("prod:(ab:2);(ut:3:3)"))
-    for obj in (G, FiniteAbelian((5,)), _QUOTIENTS[0], P):
+    for obj in (G, FiniteAbelian((5,)), _QUOTIENTS[0], _COORDINATE_VIEWS[0], P):
         assert "mul" not in vars(obj) and "inv" not in vars(obj)
 
 
