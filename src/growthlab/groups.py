@@ -5,25 +5,44 @@ Backends: finite-or-free abelian groups, unitriangular integer matrix groups
 with entries modulo m (m = 0 means plain integers), and flat direct products
 of the two.  All arithmetic is exact; canonical coordinates make equality,
 hashing and ordering trivial.
+
+Each backend states its group law as data, and everything else about its
+coordinates is derived from that once, on `GroupDescriptor`.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cache, cached_property
+import math
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import ParentMismatch
 
 
 class GroupDescriptor:
-    """Common interface of the backends.  Instances are immutable and hashable."""
+    """Common interface of the backends.  Instances are immutable and hashable.
 
-    arity: int
+    A base backend gives its law as two pieces of data.  `coord_moduli`
+    holds the modulus of each coordinate (0: unbounded).  `law_table` lists
+    (k, the pairs (s, t) of coordinate k) in solve order, for the law
+    c_k = a_k + b_k + Σ a_s·b_t (mod m_k): every t of k's pairs comes
+    before k.  Everything below but `mul` and `inv` is derived from these.
+    """
+
     structural_step: int
+    coord_moduli: tuple[int, ...]
+    law_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+    @property
+    def arity(self) -> int:
+        return len(self.coord_moduli)
 
     def reduce(self, coords):
-        raise NotImplementedError
+        moduli = self.coord_moduli
+        if len(coords) != len(moduli):
+            raise ValueError(f"expected {len(moduli)} coordinates")
+        return tuple([c % m if m else c for c, m in zip(coords, moduli)])
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -45,29 +64,30 @@ class GroupDescriptor:
         return [mul(a, b) for a in as_]
 
     def identity_coords(self) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def is_abelian(self) -> bool:
-        raise NotImplementedError
+        return (0,) * len(self.coord_moduli)
 
     def is_finite(self) -> bool:
-        raise NotImplementedError
+        return 0 not in self.coord_moduli
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
-        raise NotImplementedError
+        return math.prod(self.coord_moduli) if self.is_finite() else None
 
     def iter_coords(self) -> Iterator[tuple[int, ...]]:
-        """Enumerate the whole group (finite backends only)."""
-        raise NotImplementedError
+        """Enumerate the whole group (finite backends only), in tuple order."""
+        if not self.is_finite():
+            raise ValueError("cannot enumerate an infinite group")
+        return itertools.product(*map(range, self.coord_moduli))
 
-    # Coordinate layout.  `coord_moduli` holds the modulus of each
-    # coordinate (0: unbounded).  `abelian_coords` lists, in order, the
-    # coordinates the group law adds and that feed no other coordinate: the
-    # abelianization keeps exactly these, and the unit vectors there
-    # generate the group.
-    coord_moduli: tuple[int, ...]
-    abelian_coords: tuple[int, ...]
+    @property
+    def abelian_coords(self) -> tuple[int, ...]:
+        """The coordinates no product feeds (no pairs), in order: the law only
+        adds them, so the abelianization keeps exactly these, and their unit
+        vectors generate the group."""
+        return tuple(sorted(k for k, pairs in self.law_table if not pairs))
+
+    def is_abelian(self) -> bool:
+        return not any(pairs for _, pairs in self.law_table)
 
     def generator_coords(self) -> list[tuple[int, ...]]:
         """Unit vectors at the abelian coordinates whose modulus is not 1."""
@@ -82,11 +102,43 @@ class GroupDescriptor:
         return [Element(self, c) for c in self.generator_coords()]
 
 
+class _CompiledLaw(GroupDescriptor):
+    """A backend that runs its law as code generated from its table by
+    `_law_kernels`, shared by equal laws.  The methods stay on the class, so
+    wrapping them there sees every call, and the instance keeps only a
+    reference to the shared functions."""
+
+    @cached_property
+    def _kernels(self) -> tuple:
+        return _law_kernels(self.coord_moduli, self.law_table)
+
+    def mul(self, a, b):
+        return self._kernels[0](a, b)
+
+    def left_row(self, a, bs):
+        return self._kernels[1](a, bs)
+
+    def right_row(self, as_, b):
+        return self._kernels[2](as_, b)
+
+    def inv(self, a):
+        return self._kernels[3](a)
+
+    def __reduce__(self):
+        # Compiled functions do not pickle; the descriptor is its fields.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
 @dataclass(frozen=True)
 class FiniteAbelian(GroupDescriptor):
-    """Direct sum of cyclic groups Z_{m_i}; modulus 0 denotes an infinite Z factor."""
+    """Direct sum of cyclic groups Z_{m_i}; modulus 0 denotes an infinite Z factor.
+
+    Its table has no pairs.  It keeps hand-written `mul`/`inv` and the
+    generic rows (README, "Backends and kernels").
+    """
 
     moduli: tuple[int, ...]
+    structural_step = 1
 
     def __post_init__(self):
         if len(self.moduli) == 0:
@@ -94,25 +146,18 @@ class FiniteAbelian(GroupDescriptor):
         if any(m < 0 for m in self.moduli):
             raise ValueError("moduli must be >= 0")
 
+    # Plain properties: a cached one writes the instance `__dict__`, which
+    # slows each `self.moduli` in `mul` (a row by about 20%, CPython 3.11).
     @property
-    def arity(self) -> int:
-        return len(self.moduli)
+    def coord_moduli(self) -> tuple[int, ...]:
+        return self.moduli
 
     @property
-    def structural_step(self) -> int:
-        return 1
+    def law_table(self):
+        return tuple((k, ()) for k in range(len(self.moduli)))
 
     # The kernels below are the hot path of every set operation; the plain
     # per-coordinate reference they must agree with is in tests/test_kernels.py.
-    def reduce(self, coords):
-        moduli = self.moduli
-        if len(coords) != len(moduli):
-            raise ValueError(f"expected {len(moduli)} coordinates")
-        if len(moduli) == 1:
-            m = moduli[0]
-            return (coords[0] % m if m else coords[0],)
-        return tuple([c % m if m else c for c, m in zip(coords, moduli)])
-
     def mul(self, a, b):
         moduli = self.moduli
         if len(moduli) == 1:
@@ -127,39 +172,9 @@ class FiniteAbelian(GroupDescriptor):
             return (-a[0] % m if m else -a[0],)
         return tuple([-x % m if m else -x for x, m in zip(a, moduli)])
 
-    def identity_coords(self):
-        return (0,) * len(self.moduli)
-
-    def is_abelian(self):
-        return True
-
-    def is_finite(self):
-        return all(m > 0 for m in self.moduli)
-
-    def order(self):
-        if not self.is_finite():
-            return None
-        n = 1
-        for m in self.moduli:
-            n *= m
-        return n
-
-    def iter_coords(self):
-        if not self.is_finite():
-            raise ValueError("cannot enumerate an infinite group")
-        return itertools.product(*(range(m) for m in self.moduli))
-
-    @property
-    def coord_moduli(self) -> tuple[int, ...]:
-        return self.moduli
-
-    @property
-    def abelian_coords(self) -> tuple[int, ...]:
-        return tuple(range(len(self.moduli)))
-
 
 @dataclass(frozen=True)
-class Unitriangular(GroupDescriptor):
+class Unitriangular(_CompiledLaw):
     """Upper unitriangular n x n matrices over Z_m (m = 0: over Z).
 
     Coordinates store the strictly-upper entries row-major:
@@ -184,98 +199,49 @@ class Unitriangular(GroupDescriptor):
         return {p: k for k, p in enumerate(self.positions)}
 
     @property
-    def arity(self) -> int:
-        return self.n * (self.n - 1) // 2
-
-    @property
     def structural_step(self) -> int:
         return self.n - 1
 
-    def reduce(self, coords):
-        if len(coords) != self.arity:
-            raise ValueError(f"expected {self.arity} coordinates")
-        m = self.modulus
-        if m:
-            return tuple([c % m for c in coords])
-        return tuple(coords)
-
-    # The group law is compiled once per (n, m) by `_ut_kernels`.  The
-    # methods stay on the class, so wrapping them there sees every call, and
-    # the instance keeps only a reference to the shared functions.
     @cached_property
-    def _kernels(self) -> tuple:
-        return _ut_kernels(self.n, self.modulus)
-
-    def mul(self, a, b):
-        return self._kernels[0](a, b)
-
-    def left_row(self, a, bs):
-        return self._kernels[1](a, bs)
-
-    def right_row(self, as_, b):
-        return self._kernels[2](as_, b)
-
-    def inv(self, a):
-        return self._kernels[3](a)
-
-    def __reduce__(self):
-        # Compiled functions do not pickle; the descriptor is its two fields.
-        return (Unitriangular, (self.n, self.modulus))
-
-    def identity_coords(self):
-        return (0,) * self.arity
-
-    def is_abelian(self):
-        return self.n == 2
-
-    def is_finite(self):
-        return self.modulus > 0
-
-    def order(self):
-        return self.modulus ** self.arity if self.modulus > 0 else None
-
-    def iter_coords(self):
-        if self.modulus == 0:
-            raise ValueError("cannot enumerate an infinite group")
-        return itertools.product(range(self.modulus), repeat=self.arity)
-
-    @property
     def coord_moduli(self) -> tuple[int, ...]:
-        return (self.modulus,) * self.arity
+        return (self.modulus,) * len(self.positions)
 
-    @property
-    def abelian_coords(self) -> tuple[int, ...]:
-        """The superdiagonal: every other entry is fed by products of entries."""
-        return tuple(self.pos_index[(i, i + 1)] for i in range(self.n - 1))
+    @cached_property
+    def law_table(self):
+        """Entry (i, j) of a·b is a_ij + b_ij + Σ a_it·b_tj over i < t < j;
+        listed by gap j - i, so the inverse is solved shortest gaps first."""
+        idx, n = self.pos_index, self.n
+        return tuple(
+            (idx[(i, i + gap)], tuple((idx[(i, t)], idx[(t, i + gap)]) for t in range(i + 1, i + gap)))
+            for gap in range(1, n) for i in range(n - gap)
+        )
 
 
-@cache
-def _ut_kernels(n: int, m: int, zero: tuple[int, ...] = ()) -> tuple:
-    """Straight-line (mul, left_row, right_row, inv) of UT(n, Z_m), compiled once.
+# At most 256 laws stay compiled, least recently used out first.  A ut:8 law
+# holds about 27 kB, and a benchmark pass meets at most 16 laws.  Equal
+# descriptors share one law while it is cached.
+@lru_cache(maxsize=256)
+def _law_kernels(moduli: tuple[int, ...], table: tuple, zero: tuple[int, ...] = ()) -> tuple:
+    """Straight-line (mul, left_row, right_row, inv) of one coordinate law.
 
-    Entry (i, j) of a·b is a_ij + b_ij + Σ a_it·b_tj over i < t < j, and
-    the inverse e solves (I + a)(I + e) = I entry by entry, shortest gaps
-    first.  The generated source names coordinate k of a, b and e as ak,
-    bk and ek, and reduces each entry modulo the literal m (m = 0: not at
+    Coordinate k of a·b is a_k + b_k + Σ a_s·b_t over k's pairs in `table`,
+    and the inverse e solves a·e = 1 as e_k = -a_k - Σ a_s·e_t in table
+    order.  The generated source names coordinate k of a, b and e as ak, bk
+    and ek, and reduces each entry modulo the literal m_k (m_k = 0: not at
     all); the plain per-coordinate reference is in tests/test_kernels.py.
 
-    Coordinates in `zero` are written as 0.  For a set Z closed rightward
-    along rows and upward along columns no other entry reads them, so this
-    is the law of UT(n, Z_m)/K, K every tuple supported on Z (`QuotientView`).
+    Coordinates in `zero` are written as 0.  When no coordinate outside
+    `zero` has a pair that reads one inside it, this is the law of G/K, K
+    every tuple supported on `zero` (`QuotientView`).
     """
-    idx = Unitriangular(n, m).pos_index
-    table = [  # (k, its index pairs (idx(i,t), idx(t,j))) per position k = (i, j), by gap
-        (idx[(i, i + gap)], [(idx[(i, t)], idx[(t, i + gap)]) for t in range(i + 1, i + gap)])
-        for gap in range(1, n) for i in range(n - gap)
-    ]
 
     def entry(k, terms):
         if k in zero:
             return "0"
-        return f"({' '.join(terms)}) % {m}" if m else " ".join(terms)
+        return f"({' '.join(terms)}) % {moduli[k]}" if moduli[k] else " ".join(terms)
 
     def coords(x):
-        return "(" + "".join(f"{x}{k}, " for k in range(len(idx))) + ")"
+        return "(" + "".join(f"{x}{k}, " for k in range(len(moduli))) + ")"
 
     a, b, e = coords("a"), coords("b"), coords("e")
     ab = "(" + "".join(
@@ -291,13 +257,17 @@ def _ut_kernels(n: int, m: int, zero: tuple[int, ...] = ()) -> tuple:
         f"def inv(a):\n    {a} = a\n{solve}    return {e}\n"
     )
     ns: dict = {}
-    exec(compile(src, f"<ut:{n}:{m} kernels, zero {zero}>", "exec"), ns)
+    exec(compile(src, f"<law kernels {moduli}, zero {zero}>", "exec"), ns)
     return ns["mul"], ns["left_row"], ns["right_row"], ns["inv"]
 
 
 @dataclass(frozen=True)
-class DirectProduct(GroupDescriptor):
-    """Flat direct product of abelian and unitriangular factors."""
+class DirectProduct(_CompiledLaw):
+    """Flat direct product of abelian and unitriangular factors.
+
+    Its table is the factors' tables side by side, so one compiled law
+    covers every factor.
+    """
 
     factors: tuple[GroupDescriptor, ...]
 
@@ -312,80 +282,21 @@ class DirectProduct(GroupDescriptor):
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for f in self.factors:
-            out.append(acc)
-            acc += f.arity
-        return tuple(out)
-
-    @property
-    def arity(self) -> int:
-        return sum(f.arity for f in self.factors)
+        return tuple(itertools.accumulate((f.arity for f in self.factors[:-1]), initial=0))
 
     @property
     def structural_step(self) -> int:
         return max(f.structural_step for f in self.factors)
 
-    def reduce(self, coords):
-        if len(coords) != self.arity:
-            raise ValueError(f"expected {self.arity} coordinates")
-        coords = tuple(coords)
-        out: tuple[int, ...] = ()
-        for f, s in self._slices:
-            out += f.reduce(coords[s])
-        return out
-
     @cached_property
-    def _slices(self) -> tuple[tuple[GroupDescriptor, slice], ...]:
-        """(factor, its coordinate slice) per factor, built once."""
-        return tuple((f, slice(off, off + f.arity)) for f, off in zip(self.factors, self.offsets))
-
-    # Factor kernels are looked up per call, so wrapping a factor class's
-    # `mul`/`inv` still sees the calls a product makes.
-    def mul(self, a, b):
-        out: tuple[int, ...] = ()
-        for f, s in self._slices:
-            out += f.mul(a[s], b[s])
-        return out
-
-    def inv(self, a):
-        out: tuple[int, ...] = ()
-        for f, s in self._slices:
-            out += f.inv(a[s])
-        return out
-
-    def identity_coords(self):
-        return (0,) * self.arity
-
-    def is_abelian(self):
-        return all(f.is_abelian() for f in self.factors)
-
-    def is_finite(self):
-        return all(f.is_finite() for f in self.factors)
-
-    def order(self):
-        n = 1
-        for f in self.factors:
-            o = f.order()
-            if o is None:
-                return None
-            n *= o
-        return n
-
-    def iter_coords(self):
-        if not self.is_finite():
-            raise ValueError("cannot enumerate an infinite group")
-        parts = itertools.product(*(f.iter_coords() for f in self.factors))
-        return (sum(p, ()) for p in parts)
-
-    @property
     def coord_moduli(self) -> tuple[int, ...]:
         return sum((f.coord_moduli for f in self.factors), ())
 
-    @property
-    def abelian_coords(self) -> tuple[int, ...]:
+    @cached_property
+    def law_table(self):
         return tuple(
-            off + k for f, off in zip(self.factors, self.offsets) for k in f.abelian_coords
+            (off + k, tuple((off + s, off + t) for s, t in pairs))
+            for f, off in zip(self.factors, self.offsets) for k, pairs in f.law_table
         )
 
 

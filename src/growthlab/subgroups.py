@@ -7,11 +7,12 @@ BudgetExceeded rather than looping.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 from .config import resolve_budget
 from .errors import BudgetExceeded, NotNilpotent, ParentMismatch
-from .groups import Element, GroupDescriptor, Unitriangular, _ut_kernels
+from .groups import Element, GroupDescriptor, _law_kernels
 from .gset import GSet
 
 
@@ -258,19 +259,19 @@ def step_of_generated(gens, budget: int | None = None) -> int:
 
 
 def _coordinate_kernel(base, kernel: SubgroupHandle) -> tuple[int, ...] | None:
-    """Z, sorted, when the kernel is every tuple of a finite ut:n:m supported
-    on Z, closed rightward along rows and upward along columns; else None.
-    Z is where some member is not 0, so the kernel is all of it iff |K| = m^|Z|."""
-    if not isinstance(base, Unitriangular) or not base.modulus:
+    """Z, sorted, when the kernel is every tuple of a finite base supported on
+    Z and Z is closed: no coordinate outside Z has a pair that reads Z in the
+    base's law table.  Else None.  Z is where some member is not 0, so the
+    kernel is all of Z's tuples iff |K| = ∏_{k∈Z} m_k."""
+    if not base.is_finite():
         return None
     members = kernel.elements.members
     Z = {k for c in members for k, x in enumerate(c) if x}
-    idx, n = base.pos_index, base.n
-    closed = all(
-        (j + 1 == n or idx[(i, j + 1)] in Z) and (i == 0 or idx[(i - 1, j)] in Z)
-        for i, j in (base.positions[k] for k in Z)
+    closed = not any(
+        k not in Z and (s in Z or t in Z) for k, pairs in base.law_table for s, t in pairs
     )
-    return tuple(sorted(Z)) if closed and len(members) == base.modulus ** len(Z) else None
+    moduli = base.coord_moduli
+    return tuple(sorted(Z)) if closed and len(members) == math.prod(moduli[k] for k in Z) else None
 
 
 class QuotientView(GroupDescriptor):
@@ -283,7 +284,7 @@ class QuotientView(GroupDescriptor):
 
     With a coordinate kernel (`_coordinate_kernel`) the least members have
     Z's entries 0 and `_kernels` is the base law with them written as 0
-    (`_ut_kernels`).  With any other, `_kernels` is None and arithmetic runs
+    (`_law_kernels`).  With any other, `_kernels` is None and arithmetic runs
     in the base, then reduces through a cache of coset representatives.
     """
 
@@ -296,8 +297,8 @@ class QuotientView(GroupDescriptor):
         self.kernel = kernel
         self._rep_cache: dict[tuple, tuple] = {}
         self._kernel_sorted = kernel.elements.sorted_members()
-        self._zero = _coordinate_kernel(base, kernel)
-        self._kernels = None if self._zero is None else _ut_kernels(base.n, base.modulus, self._zero)
+        zero = self._zero = _coordinate_kernel(base, kernel)
+        self._kernels = None if zero is None else _law_kernels(base.coord_moduli, base.law_table, zero)
 
     # --- descriptor interface -------------------------------------------
     @property
@@ -375,8 +376,8 @@ class QuotientView(GroupDescriptor):
 
     def iter_coords(self):
         if self._zero is not None:  # the tuples with Z's entries 0, in the same order
-            m, zero = self.base.modulus, self._zero
-            yield from itertools.product(*(range(1 if k in zero else m) for k in range(self.arity)))
+            moduli = [1 if k in self._zero else m for k, m in enumerate(self.base.coord_moduli)]
+            yield from itertools.product(*map(range, moduli))
             return
         seen = set()
         for c in self.base.iter_coords():

@@ -6,6 +6,10 @@ Grammar for group descriptors (used by recipes and the command line):
     ut:<n>:<m>              n x n unitriangular matrices, entries mod m (0 = Z)
     prod:(<spec>);(<spec>)  direct product of the wrapped descriptors
 
+A product is its parenthesised factors joined by ';' and nothing else.  A
+descriptor has at most MAX_ARITY coordinates: ab: one per modulus, ut:n
+n(n-1)/2, prod: the sum of its factors'.
+
 Sets serialise to plain JSON objects; reports are emitted as deterministic
 JSON (sorted keys, fixed indentation) or as flat CSV with a fixed column
 order, so reruns of a seeded scenario are byte-identical.
@@ -20,11 +24,10 @@ from .errors import FormatError
 from .groups import DirectProduct, FiniteAbelian, Unitriangular
 from .gset import GSet
 
-# Largest n accepted in ut:<n>:<m>.  The structure grows with n (n(n-1)/2
-# coordinates, step n-1, and a group law compiled per (n, m), which takes
-# 3 to 4 ms at n = 8), and the library's own examples stop at ut:5; a larger
-# n is refused before anything is built.
-MAX_UT_N = 8
+# Most coordinates a descriptor may have, ut:8's 28.  Products, coordinate
+# quotients and ut:n compile a law whose cost grows with the arity (about
+# 0.1 s at 1,000); a wider descriptor is refused before anything is built.
+MAX_ARITY = 28
 
 
 def parse_group(text: str):
@@ -33,7 +36,7 @@ def parse_group(text: str):
     if text.startswith("ab:"):
         body = text[3:]
         try:
-            return FiniteAbelian(tuple(int(p) for p in body.split(",")))
+            return _capped(FiniteAbelian(tuple(int(p) for p in body.split(","))), text)
         except ValueError as e:
             raise FormatError(f"bad abelian moduli in {text!r}: {e}")
     if text.startswith("ut:"):
@@ -44,8 +47,8 @@ def parse_group(text: str):
             n, m = int(parts[0]), int(parts[1])
         except ValueError as e:
             raise FormatError(f"bad unitriangular parameters in {text!r}: {e}")
-        if n > MAX_UT_N:
-            raise FormatError(f"unitriangular size {n} in {text!r} is above the limit {MAX_UT_N}")
+        if n > 1 and n * (n - 1) // 2 > MAX_ARITY:
+            raise FormatError(f"{text!r} has {n * (n - 1) // 2} coordinates, above the limit {MAX_ARITY}")
         try:
             return Unitriangular(n, m)
         except ValueError as e:
@@ -61,36 +64,38 @@ def parse_group(text: str):
         if len(factors) < 2:
             raise FormatError(f"product descriptor needs at least two factors, got {text!r}")
         try:
-            return DirectProduct(tuple(factors))
+            return _capped(DirectProduct(tuple(factors)), text)
         except ValueError as e:
             raise FormatError(f"bad product descriptor {text!r}: {e}")
     raise FormatError(f"unknown group descriptor {text!r}")
 
 
+def _capped(G, text: str):
+    if G.arity > MAX_ARITY:
+        raise FormatError(f"{text!r} has {G.arity} coordinates, above the limit {MAX_ARITY}")
+    return G
+
+
 def _split_wrapped(body: str, original: str) -> list[str]:
-    """Split ';'-separated parenthesised factors, honouring nesting."""
-    parts = []
-    depth = 0
-    cur: list[str] = []
-    for ch in body:
+    """The factors of '(f);(f);…', honouring nesting.  Outside the
+    parentheses a '(' opens the body or follows ';', a ';' follows ')', and
+    the body ends with ')'; any other text there is refused."""
+    bad = FormatError(f"product descriptor needs (..);(..) factors, got {original!r}")
+    parts: list[str] = []
+    depth = start = 0
+    for i, ch in enumerate(body):
+        if depth == 0 and ch != ("(" if i == 0 or body[i - 1] == ";" else ";"):
+            raise bad
         if ch == "(":
             depth += 1
             if depth == 1:
-                continue
+                start = i + 1
         elif ch == ")":
             depth -= 1
             if depth == 0:
-                parts.append("".join(cur))
-                cur = []
-                continue
-            if depth < 0:
-                raise FormatError(f"unbalanced parentheses in {original!r}")
-        elif ch == ";" and depth == 0:
-            continue
-        if depth >= 1:
-            cur.append(ch)
-    if depth != 0 or not parts:
-        raise FormatError(f"product descriptor needs (..);(..) factors, got {original!r}")
+                parts.append(body[start:i])
+    if depth or not body.endswith(")"):
+        raise bad
     return parts
 
 

@@ -1,26 +1,31 @@
 """Specialised backend kernels pinned to a plain per-coordinate reference.
 
-The backends in `growthlab.groups` specialise `reduce`/`mul`/`inv` per
-descriptor (one-coordinate abelian groups, straight-line code compiled once
-per (n, m) for every UT(n, Z_m), precomputed factor slices for direct
-products).  A `QuotientView` whose kernel is every tuple supported on a
-set Z of coordinates runs the same generated code with Z's entries written
-as 0; with any other kernel its `reduce` reduces in the base and fills its
-cache a whole coset at a time.  The functions below are the generic
-implementations they replaced;
-every fast path must agree with them on arbitrary integer input, including
-entries far beyond 64 bits, and for every n the descriptor parser accepts,
-since each n has its own generated code.  The row kernels `left_row` and
-`right_row` must return exactly the list of single products, in order.
+Each base backend states its law as a table, and `growthlab.groups`
+derives the rest from it.  `ut:n:m` and `prod:` descriptors run
+straight-line code that `_law_kernels` compiles once per law; `ab:`
+descriptors keep hand-written `mul`/`inv`.  A `QuotientView` whose kernel
+is every tuple supported on a closed set Z of coordinates runs the same
+generated code with Z's entries written as 0; with any other kernel its
+`reduce` reduces in the base and fills its cache a whole coset at a time.
+The functions below are plain implementations written from each backend's
+definition; every fast path must agree with them on arbitrary integer
+input, including entries far beyond 64 bits, and for every n the
+descriptor parser accepts, since each n has its own generated code.  The
+row kernels `left_row` and `right_row` must return exactly the list of
+single products, in order.
 """
+import itertools
+import math
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import Element, FiniteAbelian, Unitriangular, parse_group
+from growthlab import DirectProduct, Element, FiniteAbelian, Unitriangular, parse_group
+from growthlab.groups import _law_kernels
 from growthlab.subgroups import QuotientView, _commutator_levels, derived_subgroup, normal_closure, span
-from growthlab.textio import MAX_UT_N
+from growthlab.textio import MAX_ARITY
 
 
 # --------------------------------------------------------------------------
@@ -75,30 +80,68 @@ def ref_ut_inv(G: Unitriangular, a):
 
 
 def ref_product_mul(G, a, b):
-    """The generic per-factor loop: slice, multiply in the factor, concatenate."""
+    """Factor by factor: slice, multiply by the factor's reference, concatenate."""
     out = ()
     for f, off in zip(G.factors, G.offsets):
-        out += f.mul(a[off:off + f.arity], b[off:off + f.arity])
+        out += ref_mul(f, a[off:off + f.arity], b[off:off + f.arity])
     return out
 
 
 def ref_product_inv(G, a):
     out = ()
     for f, off in zip(G.factors, G.offsets):
-        out += f.inv(a[off:off + f.arity])
+        out += ref_inv(f, a[off:off + f.arity])
     return out
+
+
+def ref_reduce(G, coords):
+    if isinstance(G, DirectProduct):
+        return sum((ref_reduce(f, coords[off:off + f.arity]) for f, off in zip(G.factors, G.offsets)), ())
+    return ref_ut_reduce(G, coords) if isinstance(G, Unitriangular) else ref_abelian_reduce(G, coords)
+
+
+def ref_mul(G, a, b):
+    if isinstance(G, DirectProduct):
+        return ref_product_mul(G, a, b)
+    return ref_ut_mul(G, a, b) if isinstance(G, Unitriangular) else ref_abelian_mul(G, a, b)
+
+
+def ref_inv(G, a):
+    if isinstance(G, DirectProduct):
+        return ref_product_inv(G, a)
+    return ref_ut_inv(G, a) if isinstance(G, Unitriangular) else ref_abelian_inv(G, a)
 
 
 def ref_quotient_reduce(q: QuotientView, coords):
     """Reduce in the base first, then take the least coset member."""
-    c = ref_ut_reduce(q.base, tuple(coords))
-    return min(ref_ut_mul(q.base, c, k) for k in q.kernel.elements.members)
+    c = ref_reduce(q.base, tuple(coords))
+    return min(ref_mul(q.base, c, k) for k in q.kernel.elements.members)
+
+
+def ref_layout(G):
+    """(arity, abelian_coords, is_abelian, order, an iterator over the group
+    or None) by each backend's own rule."""
+    if isinstance(G, FiniteAbelian):
+        finite = 0 not in G.moduli
+        walk = itertools.product(*(range(m) for m in G.moduli)) if finite else None
+        return len(G.moduli), tuple(range(len(G.moduli))), True, math.prod(G.moduli) if finite else None, walk
+    if isinstance(G, Unitriangular):
+        k, m = G.n * (G.n - 1) // 2, G.modulus
+        superdiagonal = tuple(G.pos_index[(i, i + 1)] for i in range(G.n - 1))
+        return k, superdiagonal, G.n == 2, m**k if m else None, itertools.product(range(m), repeat=k) if m else None
+    parts = [ref_layout(f) for f in G.factors]
+    offsets = [sum(p[0] for p in parts[:i]) for i in range(len(parts))]
+    orders = [p[3] for p in parts]
+    order = None if None in orders else math.prod(orders)
+    walk = None if order is None else (sum(c, ()) for c in itertools.product(*(p[4] for p in parts)))
+    abelian = tuple(off + k for p, off in zip(parts, offsets) for k in p[1])
+    return sum(p[0] for p in parts), abelian, all(p[2] for p in parts), order, walk
 
 
 # --------------------------------------------------------------------------
 # Strategies
 
-_UT_NS = st.sampled_from(range(2, MAX_UT_N + 1))
+_UT_NS = st.sampled_from([n for n in range(2, 10) if n * (n - 1) // 2 <= MAX_ARITY])
 _small = st.integers(-50, 50)
 _wide = st.one_of(_small, st.integers(-(2**80), 2**80), st.integers(2**63, 2**70))
 
@@ -165,7 +208,7 @@ def ref_first_seen(q: QuotientView) -> list:
     seen, out = set(), []
     for c in q.base.iter_coords():
         if c not in seen:
-            coset = [ref_ut_mul(q.base, c, k) for k in q.kernel.elements.members]
+            coset = [ref_mul(q.base, c, k) for k in q.kernel.elements.members]
             seen.update(coset)
             out.append(min(coset))
     return out
@@ -286,6 +329,47 @@ def test_quotient_enumeration_is_first_seen_order():
         assert list(q.iter_coords()) == ref_first_seen(q)
 
 
+def _span_of(text, *gens):
+    G = parse_group(text)
+    return G, span([G.element(g) for g in gens])
+
+
+def _non_ut_views():
+    """(base, kernel, whether it is a coordinate kernel) over ab: and prod: bases."""
+    return (
+        (*_span_of("ab:4,6", (0, 1)), True),
+        (*_span_of("prod:(ab:4);(ut:3:3)", (0, 0, 1, 0)), True),  # the ut centre
+        (*_span_of("prod:(ut:3:2);(ut:3:3)", (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)), True),  # both centres
+        (*_span_of("ab:4,6", (2, 0)), False),  # |K| = 2 < 4
+        (*_span_of("ab:5,5", (1, 1)), False),  # the diagonal: |K| = 5 < 25
+        # ⟨e₂₃⟩ is all of its coordinate, but the corner's pair e₁₂·e₂₃ reads it.
+        (*_span_of("prod:(ab:2);(ut:3:3)", (0, 0, 0, 1)), False),
+    )
+
+
+_NON_UT_VIEWS = _non_ut_views()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(range(len(_NON_UT_VIEWS))), st.data())
+def test_quotients_of_abelian_and_product_bases_match_reference(which, data):
+    base, kernel, coordinate = _NON_UT_VIEWS[which]
+    q = QuotientView(base, kernel)  # a fresh, cold cache
+    assert (q._kernels is not None) == coordinate
+    a, b = data.draw(_coords(q.arity)), data.draw(_coords(q.arity))
+    xs = data.draw(st.lists(_coords(q.arity), max_size=4))
+
+    def ref(c):
+        return ref_quotient_reduce(q, c)
+
+    assert q.reduce(a) == q.reduce(list(a)) == ref(a)
+    assert q.mul(a, b) == ref(ref_mul(base, a, b))
+    assert q.inv(a) == ref(ref_inv(base, a))
+    assert q.left_row(a, xs) == [ref(ref_mul(base, a, x)) for x in xs]
+    assert q.right_row(xs, b) == [ref(ref_mul(base, x, b)) for x in xs]
+    assert list(q.iter_coords()) == ref_first_seen(q)
+
+
 _PRODUCTS = (parse_group("prod:(ab:2);(ut:3:3)"), parse_group("prod:(ab:0,5);(ut:3:0);(ut:4:2)"))
 
 
@@ -298,6 +382,27 @@ def test_direct_product_matches_per_factor_loop(G, data):
     ca, cb = G.reduce(a), G.reduce(b)
     assert G.mul(ca, cb) == ref_product_mul(G, ca, cb)
     assert G.mul(ca, G.inv(ca)) == G.identity_coords()
+
+
+_small_groups = st.one_of(
+    st.lists(st.sampled_from((0, 1, 2, 3)), min_size=1, max_size=3).map(lambda ms: FiniteAbelian(tuple(ms))),
+    st.builds(Unitriangular, st.integers(2, 4), st.sampled_from((0, 1, 2, 3))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_small_groups, st.lists(_small_groups, min_size=2, max_size=3).map(lambda fs: DirectProduct(tuple(fs)))))
+def test_derived_layout_matches_per_backend_rules(G):
+    arity, abelian, is_abelian, order, walk = ref_layout(G)
+    assert G.arity == arity and G.identity_coords() == (0,) * arity
+    assert G.abelian_coords == abelian
+    assert G.is_abelian() is is_abelian
+    assert G.order() == order and G.is_finite() is (order is not None)
+    if walk is None:
+        with pytest.raises(ValueError):
+            G.iter_coords()
+    else:
+        assert list(itertools.islice(G.iter_coords(), 3000)) == list(itertools.islice(walk, 3000))
 
 
 # --------------------------------------------------------------------------
@@ -379,6 +484,19 @@ def test_equal_descriptors_share_one_compiled_law_and_pickle_after_use():
     assert G.mul((1,) * 6, (2,) * 6) == ref_ut_mul(G, (1,) * 6, (2,) * 6)
     assert twin.inv((1,) * 6) == ref_ut_inv(twin, (1,) * 6)
     assert all(f is g for f, g in zip(G._kernels, twin._kernels))
-    back = pickle.loads(pickle.dumps(G))
-    assert back == G and back.mul((1,) * 6, (2,) * 6) == G.mul((1,) * 6, (2,) * 6)
-    assert not any(callable(v) for v in vars(G).values())
+    P, ptwin = _PRODUCTS[1], parse_group("prod:(ab:0,5);(ut:3:0);(ut:4:2)")
+    x, y = tuple(range(1, 12)), tuple(range(3, 14))
+    assert P.mul(x, y) == ref_product_mul(P, x, y) and ptwin.inv(x) == ref_product_inv(P, x)
+    assert all(f is g for f, g in zip(P._kernels, ptwin._kernels))
+    for D, a, b in ((G, (1,) * 6, (2,) * 6), (P, x, y)):
+        back = pickle.loads(pickle.dumps(D))
+        assert back == D and back.mul(a, b) == D.mul(a, b)
+        assert not any(callable(v) for v in vars(D).values())
+
+
+def test_compiled_law_cache_is_bounded():
+    size = _law_kernels.cache_info().maxsize
+    for m in range(2, size + 12):  # more distinct laws than the cache holds
+        U = Unitriangular(3, m)
+        assert U.mul((1, 1, 1), (1, 1, 1)) == ref_ut_mul(U, (1, 1, 1), (1, 1, 1))
+    assert _law_kernels.cache_info().currsize == size

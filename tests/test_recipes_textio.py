@@ -54,6 +54,21 @@ def test_parse_group_errors():
     assert parse_group("ut:8:2") == Unitriangular(8, 2)
 
 
+def test_parse_group_caps_the_arity():
+    for bad in ("ab:" + ",".join(["2"] * 29), "prod:(ut:8:2);(ab:2)", "ut:9:2"):
+        with pytest.raises(FormatError, match="coordinates, above the limit 28"):
+            parse_group(bad)
+    assert parse_group("ut:8:3") == Unitriangular(8, 3)
+    assert parse_group("ab:" + ",".join(["2"] * 28)).arity == 28
+
+
+def test_product_descriptor_refuses_text_outside_its_factors():
+    for bad in ("prod:(ab:2);(ab:3)x", "prod:x(ab:2);;(ab:3)", "prod:(ab:2)(ab:3)", "prod:(ab:2);(ab:3);"):
+        with pytest.raises(FormatError, match="needs"):
+            parse_group(bad)
+    assert parse_group("prod:(ab:2);(ab:3)") == DirectProduct((FiniteAbelian((2,)), FiniteAbelian((3,))))
+
+
 def test_parse_coords():
     assert parse_coords("1,0,-2") == (1, 0, -2)
     assert tuple(parse_coord_list("3|5")) == ((3,), (5,))
