@@ -221,24 +221,26 @@ class Unitriangular(_CompiledLaw):
 # holds about 27 kB, and a benchmark pass meets at most 16 laws.  Equal
 # descriptors share one law while it is cached.
 @lru_cache(maxsize=256)
-def _law_kernels(moduli: tuple[int, ...], table: tuple, zero: tuple[int, ...] = ()) -> tuple:
+def _law_kernels(moduli: tuple[int, ...], table: tuple) -> tuple:
     """Straight-line (mul, left_row, right_row, inv) of one coordinate law.
 
     Coordinate k of a·b is a_k + b_k + Σ a_s·b_t over k's pairs in `table`,
     and the inverse e solves a·e = 1 as e_k = -a_k - Σ a_s·e_t in table
     order.  The generated source names coordinate k of a, b and e as ak, bk
     and ek, and reduces each entry modulo the literal m_k (m_k = 0: not at
-    all); the plain per-coordinate reference is in tests/test_kernels.py.
+    all; m_k = 1: the entry is written as 0); the plain per-coordinate
+    reference is in tests/test_kernels.py.
 
-    Coordinates in `zero` are written as 0.  When no coordinate outside
-    `zero` has a pair that reads one inside it, this is the law of G/K, K
-    every tuple supported on `zero` (`QuotientView`).
+    A coordinate quotient is its base's table with modulus 1 on Z: when no
+    coordinate outside Z has a pair that reads one inside it, this is the
+    law of G/K, K every tuple supported on Z (`QuotientView`).
     """
 
     def entry(k, terms):
-        if k in zero:
+        m = moduli[k]
+        if m == 1:
             return "0"
-        return f"({' '.join(terms)}) % {moduli[k]}" if moduli[k] else " ".join(terms)
+        return f"({' '.join(terms)}) % {m}" if m else " ".join(terms)
 
     def coords(x):
         return "(" + "".join(f"{x}{k}, " for k in range(len(moduli))) + ")"
@@ -257,7 +259,7 @@ def _law_kernels(moduli: tuple[int, ...], table: tuple, zero: tuple[int, ...] = 
         f"def inv(a):\n    {a} = a\n{solve}    return {e}\n"
     )
     ns: dict = {}
-    exec(compile(src, f"<law kernels {moduli}, zero {zero}>", "exec"), ns)
+    exec(compile(src, f"<law kernels {moduli}>", "exec"), ns)
     return ns["mul"], ns["left_row"], ns["right_row"], ns["inv"]
 
 

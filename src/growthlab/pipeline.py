@@ -504,27 +504,19 @@ def _reduce_step(
     lifted = [proj.section_element(h.coords) for h in res.best.H.gen_elements()]
     g0_gens = lifted + [Element(parent, g.coords) for g in proj.kernel_gens]
     gamma = _commutator_levels(parent, g0_gens, step, budget, "step_reduction")[-1]
-    amb_elems = list(ambient.aset.elements())
     if not gamma:
         N = trivial_N
         N_radius = 0
         reduced_parent = None
         reduced_sets = [f.aset for f in factors]
     else:
-        conj = (
-            [e for e in quotient_project(parent, ambient.aset).elements()]
-            if is_view else amb_elems
-        )
-        N = normal_closure([Element(parent, c) for c in gamma], conj, budget)
-        N_radius = containment_radius(
-            N.elements,
-            quotient_project(parent, ambient.aset) if is_view else ambient.aset,
-            budget,
-        )
+        amb = quotient_project(parent, ambient.aset) if is_view else ambient.aset
+        N = normal_closure([Element(parent, c) for c in gamma], amb, budget)
+        N_radius = containment_radius(N.elements, amb, budget)
         if is_view:
             seed = [Element(amb_parent, c) for c in N.elements.members]
             seed += parent.kernel.gen_elements()
-            N_flat = normal_closure(seed, amb_elems, budget)
+            N_flat = normal_closure(seed, ambient.aset, budget)
             reduced_parent = QuotientView(amb_parent, N_flat)
         else:
             reduced_parent = QuotientView(amb_parent, N)
@@ -783,10 +775,7 @@ def decompose(cert: ApproxCertificate, budget: int | None = None) -> Decompositi
     prog_pos = [i for i, p in enumerate(pieces) if p.kind == "progression"]
     sparse_pos = [i for i, p in enumerate(pieces) if p.kind == "sparse"]
     xi = tuple(prog_pos + sparse_pos)
-    radius_H = (
-        0 if H.is_trivial()
-        else containment_radius(H.elements, A, budget)
-    )
+    radius_H = containment_radius(H.elements, A, budget)
     if parent.is_finite():
         radius_P = containment_radius(P_realized, A, budget)
         radius_note = "minimal"
@@ -843,37 +832,23 @@ def corollary_covers(
     A = cert.aset
     parent = A.parent
     P = dec.P_realized
-    # A trivial H makes the quotient a copy of the base; skip the view and
-    # its per-element reduction cache.
-    trivial = dec.H.is_trivial()
-    if not trivial:
-        q = QuotientView(parent, dec.H)
-        Abar = quotient_project(q, A)
+    q = QuotientView(parent, dec.H)
+    Abar = quotient_project(q, A)
 
     if which == "ruzsa":
-        if trivial:
-            rc = ruzsa_cover(A, P, budget)
-            X = rc.X
-        else:
-            Pbar = quotient_project(q, P)
-            rc = ruzsa_cover(Abar, Pbar, budget)
-            lift = [
-                min(c for c in A.sorted_members() if q.reduce(c) == x)
-                for x in rc.X.sorted_members()
-            ]
-            X = GSet(parent, lift, _reduced=True)
+        rc = ruzsa_cover(Abar, quotient_project(q, P), budget)
+        lift: dict = {}
+        for c in A.sorted_members():  # each x lifts to its least preimage in A
+            lift.setdefault(q.reduce(c), c)
+        X = GSet(parent, [lift[x] for x in rc.X.sorted_members()], _reduced=True)
         XH = product(X, dec.H.elements, budget)
         verify_translate_cover(A, XH, P, budget, "X·H·P·P⁻¹ verification")
         rank = 2 * dec.rank_final
         return RuzsaBranchReport(X, rc.ratio_bound, rank)
 
     if which == "chang":
-        if trivial:
-            cert_q = cert
-            Bbar = P
-        else:
-            cert_q = certify(Abar, quotient_project(q, cert.witness), budget)
-            Bbar = quotient_project(q, P)
+        cert_q = certify(Abar, quotient_project(q, cert.witness), budget)
+        Bbar = quotient_project(q, P)
         # P sits in A^radius_P by the decomposition's certified exponent, and
         # projection preserves the containment, so the power precondition is
         # already established.

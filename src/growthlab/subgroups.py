@@ -6,7 +6,6 @@ BudgetExceeded rather than looping.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -259,12 +258,12 @@ def step_of_generated(gens, budget: int | None = None) -> int:
 
 
 def _coordinate_kernel(base, kernel: SubgroupHandle) -> tuple[int, ...] | None:
-    """Z, sorted, when the kernel is every tuple of a finite base supported on
-    Z and Z is closed: no coordinate outside Z has a pair that reads Z in the
+    """Z, sorted, when the kernel is every tuple of the base supported on Z
+    and Z is closed: no coordinate outside Z has a pair that reads Z in the
     base's law table.  Else None.  Z is where some member is not 0, so the
-    kernel is all of Z's tuples iff |K| = ∏_{k∈Z} m_k."""
-    if not base.is_finite():
-        return None
+    kernel is all of Z's tuples iff |K| = ∏_{k∈Z} m_k, which a finite kernel
+    meets only when Z's moduli are nonzero; the trivial kernel has Z = ∅ in
+    any base."""
     members = kernel.elements.members
     Z = {k for c in members for k, x in enumerate(c) if x}
     closed = not any(
@@ -282,10 +281,12 @@ class QuotientView(GroupDescriptor):
     of any subgroup in which the kernel is normal (tracked via the kernel's
     normality verdict).
 
-    With a coordinate kernel (`_coordinate_kernel`) the least members have
-    Z's entries 0 and `_kernels` is the base law with them written as 0
-    (`_law_kernels`).  With any other, `_kernels` is None and arithmetic runs
-    in the base, then reduces through a cache of coset representatives.
+    A coordinate quotient (`_coordinate_kernel`) is its base's table with
+    modulus 1 on Z, in any base whose Z moduli are finite: `coord_moduli`
+    is the base's with Z's entries 1, the least members are the tuples with
+    Z's entries 0, and `_kernels` is that compiled law (`_law_kernels`).
+    With any other kernel, `_kernels` is None and arithmetic runs in the
+    base, then reduces through a cache of coset representatives.
     """
 
     def __init__(self, base, kernel: SubgroupHandle):
@@ -296,9 +297,13 @@ class QuotientView(GroupDescriptor):
         self.base = base
         self.kernel = kernel
         self._rep_cache: dict[tuple, tuple] = {}
-        self._kernel_sorted = kernel.elements.sorted_members()
-        zero = self._zero = _coordinate_kernel(base, kernel)
-        self._kernels = None if zero is None else _law_kernels(base.coord_moduli, base.law_table, zero)
+        Z = _coordinate_kernel(base, kernel)
+        if Z is None:
+            self._kernels = None
+            self._kernel_sorted = kernel.elements.sorted_members()
+        else:
+            self.coord_moduli = tuple(1 if k in Z else m for k, m in enumerate(base.coord_moduli))
+            self._kernels = _law_kernels(self.coord_moduli, base.law_table)
 
     # --- descriptor interface -------------------------------------------
     @property
@@ -310,9 +315,8 @@ class QuotientView(GroupDescriptor):
         return self.base.structural_step
 
     def reduce(self, coords):
-        law = self._kernels
-        if law:  # c·1 is c with Z's entries set to 0
-            return law[0](self.base.reduce(tuple(coords)), self.base.identity_coords())
+        if self._kernels:  # modulus 1 sets Z's entries to 0
+            return super().reduce(coords)
         # Cache keys are canonical base coordinates, so a hit on the raw input
         # is exact; base arithmetic already returns canonical tuples, which
         # keeps base.reduce off the hot path of mul and inv.  A miss computes
@@ -375,9 +379,8 @@ class QuotientView(GroupDescriptor):
         return o // len(self.kernel.elements)
 
     def iter_coords(self):
-        if self._zero is not None:  # the tuples with Z's entries 0, in the same order
-            moduli = [1 if k in self._zero else m for k, m in enumerate(self.base.coord_moduli)]
-            yield from itertools.product(*map(range, moduli))
+        if self._kernels:  # the tuples with Z's entries 0, in the same order
+            yield from super().iter_coords()
             return
         seen = set()
         for c in self.base.iter_coords():
@@ -412,8 +415,10 @@ class QuotientView(GroupDescriptor):
 
 
 def quotient_project(q: QuotientView, A: GSet) -> GSet:
-    """Image of A in the quotient, as canonical representatives tagged with q."""
+    """Image of A in the quotient, as canonical representatives tagged with q.
+    By the trivial kernel the image is A's own members, shared."""
     if A.parent != q.base:
         raise ParentMismatch("set does not live in the base of the quotient")
-    return GSet(q, (q.reduce(c) for c in A.members), _reduced=True)
+    members = A.members if q.kernel.is_trivial() else (q.reduce(c) for c in A.members)
+    return GSet(q, members, _reduced=True)
 

@@ -4,9 +4,10 @@ Each base backend states its law as a table, and `growthlab.groups`
 derives the rest from it.  `ut:n:m` and `prod:` descriptors run
 straight-line code that `_law_kernels` compiles once per law; `ab:`
 descriptors keep hand-written `mul`/`inv`.  A `QuotientView` whose kernel
-is every tuple supported on a closed set Z of coordinates runs the same
-generated code with Z's entries written as 0; with any other kernel its
-`reduce` reduces in the base and fills its cache a whole coset at a time.
+is every tuple supported on a closed set Z of coordinates runs the code
+generated from its base's table with modulus 1 on Z, which writes Z's
+entries as 0; with any other kernel its `reduce` reduces in the base and
+fills its cache a whole coset at a time.
 The functions below are plain implementations written from each backend's
 definition; every fast path must agree with them on arbitrary integer
 input, including entries far beyond 64 bits, and for every n the
@@ -24,7 +25,15 @@ from hypothesis import strategies as st
 
 from growthlab import DirectProduct, Element, FiniteAbelian, Unitriangular, parse_group
 from growthlab.groups import _law_kernels
-from growthlab.subgroups import QuotientView, _commutator_levels, derived_subgroup, normal_closure, span
+from growthlab.gset import GSet
+from growthlab.subgroups import (
+    QuotientView,
+    _commutator_levels,
+    derived_subgroup,
+    normal_closure,
+    quotient_project,
+    span,
+)
 from growthlab.textio import MAX_ARITY
 
 
@@ -335,8 +344,11 @@ def _span_of(text, *gens):
 
 
 def _non_ut_views():
-    """(base, kernel, whether it is a coordinate kernel) over ab: and prod: bases."""
+    """(base, kernel, whether it is a coordinate kernel) over ab: and prod:
+    bases, and over infinite bases by kernels whose coordinates are finite."""
     return (
+        (*_span_of("ut:3:0", (0, 0, 0)), True),  # the trivial kernel: Z = ∅
+        (*_span_of("prod:(ut:3:0);(ab:5)", (0, 0, 0, 1)), True),  # the ab:5 factor
         (*_span_of("ab:4,6", (0, 1)), True),
         (*_span_of("prod:(ab:4);(ut:3:3)", (0, 0, 1, 0)), True),  # the ut centre
         (*_span_of("prod:(ut:3:2);(ut:3:3)", (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)), True),  # both centres
@@ -367,10 +379,32 @@ def test_quotients_of_abelian_and_product_bases_match_reference(which, data):
     assert q.inv(a) == ref(ref_inv(base, a))
     assert q.left_row(a, xs) == [ref(ref_mul(base, a, x)) for x in xs]
     assert q.right_row(xs, b) == [ref(ref_mul(base, x, b)) for x in xs]
-    assert list(q.iter_coords()) == ref_first_seen(q)
+    if base.is_finite():
+        assert list(q.iter_coords()) == ref_first_seen(q)
+    else:
+        with pytest.raises(ValueError):
+            list(q.iter_coords())
 
 
-_PRODUCTS = (parse_group("prod:(ab:2);(ut:3:3)"), parse_group("prod:(ab:0,5);(ut:3:0);(ut:4:2)"))
+def test_trivial_quotient_shares_members_and_runs_the_base_law():
+    for U in (Unitriangular(3, 0), Unitriangular(3, 5)):
+        q = QuotientView(U, span([U.element((0, 0, 0))]))
+        assert all(f is g for f, g in zip(q._kernels, U._kernels))
+        A = GSet(U, [(0, 0, 0), (1, 2, 3), (-1, 0, 4), (2, -3, 1)])
+        image = quotient_project(q, A)
+        assert image.parent == q and image.members is A.members
+        a, b = (1, 2, 3), (4, -5, 6)
+        assert q.mul(a, b) == U.mul(a, b) and q.inv(a) == U.inv(a)
+        assert q.reduce([1, 2, 3]) == U.reduce((1, 2, 3))
+        assert q.left_row(a, list(A.members)) == U.left_row(a, list(A.members))
+        assert not q._rep_cache
+
+
+_PRODUCTS = (
+    parse_group("prod:(ab:2);(ut:3:3)"),
+    parse_group("prod:(ab:0,5);(ut:3:0);(ut:4:2)"),
+    parse_group("prod:(ab:1);(ut:3:3)"),  # a genuine modulus-1 coordinate
+)
 
 
 @settings(max_examples=300)
