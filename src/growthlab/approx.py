@@ -8,12 +8,13 @@ element while they choose X, and never build X*A.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import resolve_budget
 from .errors import BudgetExceeded, CertificateError, NotAbelian, ParentMismatch
-from .gset import GSet, inverse_set, power, power_chain, product
+from .gset import GSet, inverse_set, power, power_chain, powers, product
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,10 @@ def greedy_cover_certificate(A: GSet, budget: int | None = None) -> ApproxCertif
     """Certificate with a greedily minimized witness drawn from A^2 itself.
 
     Any element of A^2 covers at least itself (1 is in A), so the greedy
-    always terminates with X inside A^2.
+    always terminates with X inside A^2.  Each round takes the least x of
+    greatest gain |x·A ∩ A² ∩ uncovered|.  Gains only fall, so they sit in a
+    lazy heap keyed (−gain, x): a popped entry whose gain has fallen goes
+    back with its new gain, and the first that has not is that x.
     """
     budget = resolve_budget(budget)
     if not A.contains_identity():
@@ -85,17 +89,18 @@ def greedy_cover_certificate(A: GSet, budget: int | None = None) -> ApproxCertif
     masks = {}
     for x in square.sorted_members():
         masks[x] = square.members.intersection(left_row(x, A.members))
+    heap = [(-len(mask), x) for x, mask in masks.items()]
+    heapq.heapify(heap)
     uncovered = set(square.members)
     chosen = []
     while uncovered:
-        best = None
-        best_gain = -1
-        for x in square.sorted_members():
-            gain = len(masks[x] & uncovered)
-            if gain > best_gain:
-                best, best_gain = x, gain
-        chosen.append(best)
-        uncovered -= masks[best]
+        stored, x = heapq.heappop(heap)
+        gain = len(masks[x] & uncovered)
+        if gain < -stored:
+            heapq.heappush(heap, (-gain, x))
+            continue
+        chosen.append(x)
+        uncovered -= masks[x]
     X = GSet(A.parent, chosen, _reduced=True)
     return ApproxCertificate(A, X, len(square))
 
@@ -266,9 +271,13 @@ def sumset_growth_table(
 ) -> tuple[Fraction, list[SumsetRow]]:
     """|mA - nA| against K^{m+n} |A| with K = |A+A|/|A|, all exact.
 
-    Positive chains are shared and each row extends the previous by one
-    difference, so the whole table costs mmax-1 + mmax*nmax products.  The
-    pairs of all of them together are counted against the budget.
+    mA comes from A's power walk (shared in a finite parent, where
+    `doubling_constant` has walked to A² already; with 1 ∈ A each step
+    multiplies only the newest layer), and each row extends mA by one
+    difference at a time.  The table counts |mA|·|A| for each positive step
+    and |S|·|A| for each difference, cumulatively, against the budget before
+    it takes the set, so its BudgetExceeded is the same as if it multiplied
+    every cell out.
     """
     budget = resolve_budget(budget)
     if len(A) == 0:
@@ -279,22 +288,24 @@ def sumset_growth_table(
     K = doubling_constant(A, budget)
     pairs = 0
 
-    def extend(S: GSet, T: GSet) -> GSet:
+    def count(S: GSet) -> None:
         nonlocal pairs
-        pairs += len(S) * len(T)
+        pairs += len(S) * len(A)
         if pairs > budget:
             raise BudgetExceeded("sumset_growth_table", pairs, budget)
-        return product(S, T, budget)
 
     rows = []
-    pos = A
+    walk = powers(A, budget)
+    pos = next(walk)
     for m in range(1, mmax + 1):
         if m > 1:
-            pos = extend(pos, A)
+            count(pos)
+            pos = next(walk)
         cur = pos
         for n in range(0, nmax + 1):
             if n > 0:
-                cur = extend(cur, neg)
+                count(cur)
+                cur = product(cur, neg, budget)
             if m + n < 2:
                 continue
             bound = K ** (m + n) * len(A)
@@ -332,10 +343,14 @@ class PartialMap:
 
 
 def is_centred_triple_hom(fmap: PartialMap, budget: int | None = None) -> bool:
-    """Check the centred order-3 condition by exhausting all triples.
+    """Check the centred order-3 condition on every triple.
 
     Equal triple products a1 a2 a3 = b1 b2 b3 must have equal image products;
-    the identity must map to the identity and inverses to inverses.
+    the identity must map to the identity and inverses to inverses.  A
+    triple is a pair (a1 a2, f(a1) f(a2)) extended by a3, so the check
+    extends each distinct pair product once.  Two pairs with one product and
+    two images fail at once: every a3 extends them to a failing triple.  The
+    budget still guards the |A|³ triples.
     """
     budget = resolve_budget(budget)
     A = fmap.domain
@@ -353,58 +368,64 @@ def is_centred_triple_hom(fmap: PartialMap, budget: int | None = None) -> bool:
     if n ** 3 > budget:
         raise BudgetExceeded("is_centred_triple_hom", n ** 3, budget)
     mul, cmul = parent.mul, fmap.codomain.mul
+    images = [(a, table[a]) for a in A.sorted_members()]
+    pairs: dict[tuple, tuple] = {}
+    for a1, f1 in images:
+        for a2, f2 in images:
+            p12, f12 = mul(a1, a2), cmul(f1, f2)
+            if pairs.setdefault(p12, f12) != f12:
+                return False
     seen: dict[tuple, tuple] = {}
-    members = A.sorted_members()
-    for a1 in members:
-        f1 = table[a1]
-        for a2 in members:
-            p12 = mul(a1, a2)
-            f12 = cmul(f1, table[a2])
-            for a3 in members:
-                p = mul(p12, a3)
-                f = cmul(f12, table[a3])
-                prev = seen.get(p)
-                if prev is None:
-                    seen[p] = f
-                elif prev != f:
-                    return False
+    for p12, f12 in pairs.items():
+        for a3, f3 in images:
+            f = cmul(f12, f3)
+            if seen.setdefault(mul(p12, a3), f) != f:
+                return False
     return True
+
+
+def _first_splits(A: GSet, targets: frozenset) -> dict:
+    """The first pair (a1, a2) of A × A in sorted order with a1·a2 = x, for
+    each x of `targets` that has one; the scan stops once all are found."""
+    mul, members = A.parent.mul, A.sorted_members()
+    splits: dict[tuple, tuple] = {}
+    for a1 in members:
+        for a2 in members:
+            x = mul(a1, a2)
+            if x in targets and x not in splits:
+                splits[x] = (a1, a2)
+                if len(splits) == len(targets):
+                    return splits
+    return splits
 
 
 def image_certificate(
     fmap: PartialMap,
     budget: int | None = None,
     check_hom: bool = True,
+    source: ApproxCertificate | None = None,
 ) -> ApproxCertificate:
     """Push a certificate through a centred order-3 map.
 
-    The witness is re-derived greedily so it sits inside A^2, each witness
-    element is split as a product of two set elements, and the images of
-    those splittings witness the image set; the order-3 condition makes the
-    covering identity transport.
+    The witness is the source certificate's (by default re-derived
+    greedily, so it sits inside A^2).  Each witness element is split as the
+    first product a1·a2 of two set elements in sorted order, found in one
+    scan of the pairs, and the images of those splittings witness the image
+    set; the order-3 condition makes the covering identity transport.
     """
     budget = resolve_budget(budget)
     A = fmap.domain
+    if source is not None and source.aset != A:
+        raise CertificateError("source certificate is for another set")
     if check_hom and not is_centred_triple_hom(fmap, budget):
         raise CertificateError("map is not a centred order-3 homomorphism on the set")
-    base = greedy_cover_certificate(A, budget)
+    base = source or greedy_cover_certificate(A, budget)
     table = fmap.mapping()
-    mul = A.parent.mul
     cmul = fmap.codomain.mul
-    members = A.sorted_members()
-    images = []
-    for x in base.witness.sorted_members():
-        split = None
-        for a1 in members:
-            for a2 in members:
-                if mul(a1, a2) == x:
-                    split = (a1, a2)
-                    break
-            if split:
-                break
-        if split is None:
-            raise CertificateError("witness element is not a product of two set elements")
-        images.append(cmul(table[split[0]], table[split[1]]))
+    splits = _first_splits(A, base.witness.members)
+    if len(splits) < len(base.witness):
+        raise CertificateError("witness element is not a product of two set elements")
+    images = [cmul(table[a1], table[a2]) for a1, a2 in splits.values()]
     B = fmap.image_set()
     Y = GSet(fmap.codomain, images, _reduced=True)
     return certify(B, Y, budget)

@@ -7,6 +7,7 @@ re-verified element by element by a metered witness scan rather than trusted.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,7 +67,7 @@ def verify_translate_cover(A: GSet, X: GSet, B: GSet, budget: int, op: str) -> N
             XB = product(X, B, budget).members
         if XB is None:
             # A kept element covers itself, so try it first when present.
-            cands = [a] + [x for x in x_order if x != a] if a in X.members else x_order
+            cands = itertools.chain((a,), (x for x in x_order if x != a)) if a in X.members else x_order
             hit = any(meets_translated(parent, mul(inv(x), a), members, members, meter) for x in cands)
         else:
             hit = meets_translated(parent, a, members, XB, meter)

@@ -104,7 +104,9 @@ def product(A: GSet, B: GSet, budget: int | None = None) -> GSet:
 
     {1}·X = X·{1} = X.  With a group B (a `SubgroupHandle`'s elements) A·B is
     the union of cosets a·B: an a already in it adds nothing, an a ∈ B adds
-    B.  With a group A, the cosets A·b likewise.
+    B.  With a group A, the cosets A·b likewise.  Otherwise A·B is the union
+    of the rows a·B over the smaller A (or A·b over the smaller B), and the
+    identity's row is the other operand itself, taken without a product.
     """
     A._check(B)
     budget = resolve_budget(budget)
@@ -130,11 +132,11 @@ def product(A: GSet, B: GSet, budget: int | None = None) -> GSet:
     elif len(A) <= len(B):
         left_row, bs = A.parent.left_row, B.members
         for a in A.members:
-            out.update(left_row(a, bs))
+            out.update(bs if a == ident else left_row(a, bs))
     else:
         right_row, as_ = A.parent.right_row, A.members
         for b in B.members:
-            out.update(right_row(as_, b))
+            out.update(as_ if b == ident else right_row(as_, b))
     return GSet(A.parent, out, _reduced=True)
 
 

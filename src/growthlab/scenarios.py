@@ -423,7 +423,7 @@ def _op_hom(state, params, budget):
     fmap = _build_partial_map(A, params)
     centred = is_centred_triple_hom(fmap, budget)
     cert_src = _need_cert(state, budget)
-    img_cert = image_certificate(fmap, budget, check_hom=False) if centred else None
+    img_cert = image_certificate(fmap, budget, check_hom=False, source=cert_src) if centred else None
     inv, cinv = A.parent.inv, fmap.codomain.inv
     table = fmap.mapping()
     inverses_ok = all(

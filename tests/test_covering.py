@@ -25,6 +25,7 @@ from growthlab import (
     ruzsa_cover,
     verify_translate_cover,
 )
+from growthlab import covering
 from growthlab.covering import meets_translated
 from growthlab.recipes import generate_example
 
@@ -277,3 +278,59 @@ def test_chang_cover_meters_its_translate_scans():
     assert (ei.value.op, ei.value.needed) == ("disjoint_translates", 601 * 256)
     cc = chang_cover(cert, B, 1, budget=153_856, assume_in_power=True)
     assert (cert.K_upper, cc.stage_sizes, cc.hull_sizes) == (2, (4, 4, 4, 4, 3), (1, 4, 16, 64, 256))
+
+
+def ref_translate_cover_probes(A, X, B, budget, op, probe):
+    """verify_translate_cover with every candidate list built in full: each
+    a ∈ X first, then the rest of X in order."""
+    parent = A.parent
+    meter = Meter(op, budget)
+    XB = None
+    for a in A.sorted_members():
+        if XB is None and meter.used > len(X) * len(B):
+            XB = product(X, B, budget).members
+        if XB is None:
+            cands = [a] + [x for x in X.sorted_members() if x != a] if a in X.members else X.sorted_members()
+            hit = any(probe(parent, parent.mul(parent.inv(x), a), B.members, B.members, meter) for x in cands)
+        else:
+            hit = probe(parent, a, B.members, XB, meter)
+        if not hit:
+            raise CertificateError("cover failed exact verification")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_SCAN_CASES)), st.data())
+def test_witness_scan_probes_as_the_full_candidate_lists_do(case, data):
+    # The candidates of each a are produced lazily; the probes, their order
+    # and what each leaves on the meter are those of the full lists.
+    G, _ = _SCAN_CASES[case]
+    pool = sorted(G.iter_coords())
+
+    def draw(lo, hi):
+        return GSet(G, data.draw(st.lists(st.sampled_from(pool), min_size=lo, max_size=hi, unique=True)),
+                    _reduced=True)
+
+    X, B = draw(1, 4), draw(1, 4)
+    A = GSet(G, list(draw(0, 4).members) + list(data.draw(st.sampled_from([X, draw(1, 3)])).members),
+             _reduced=True)
+    budget = data.draw(st.integers(1, 60))
+    log = []
+
+    def recording(parent, t, S, T, meter):
+        hit = meets_translated(parent, t, S, T, meter)
+        log.append((t, T is S, meter.used, hit))
+        return hit
+
+    def outcome(fn, *args):
+        log.clear()
+        try:
+            fn(*args)
+            result = None
+        except (CertificateError, BudgetExceeded) as e:
+            result = (type(e), str(e))
+        return result, list(log)
+
+    expected = outcome(ref_translate_cover_probes, A, X, B, budget, "check", recording)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(covering, "meets_translated", recording)
+        assert outcome(verify_translate_cover, A, X, B, budget, "check") == expected

@@ -3,9 +3,10 @@
 A product with a subgroup (the elements of a `SubgroupHandle`) goes coset by
 coset; `ref_product` is the plain double loop, which checks the budget on
 the pairs and on the size, and a hypothesis property pins the coset path to
-it.  A power walk that pulls its last layers in a finite parent is pinned
-the same way to `ref_push_walk`, repeated products under the push step's
-checks.
+it, as it pins a plain product whose operands hold 1, where the identity's
+row is the other operand.  A power walk that pulls its last layers in a
+finite parent is pinned the same way to `ref_push_walk`, repeated products
+under the push step's checks.
 """
 import itertools
 import tracemalloc
@@ -309,6 +310,75 @@ def test_product_with_the_identity_is_the_other_operand():
     with pytest.raises(BudgetExceeded) as ei:
         product(X, GSet.identity_set(G), budget=1)
     assert (ei.value.op, ei.value.needed) == ("product", 2)
+
+
+# --------------------------------------------------------------------------
+# Plain products, where the identity's row is the other operand
+
+
+def _general_quotient(G, gen):
+    """G by a normal subgroup that is not all tuples on some coordinates, so
+    its arithmetic reduces through coset representatives."""
+    K = normal_closure([Element(G, gen)], G.generators())
+    return QuotientView(G, K)
+
+
+_PLAIN_GROUPS = [parse_group(t) for t in ("ab:12", "ab:5,7", "ut:3:5", "ut:3:0", "prod:(ab:4);(ut:3:2)")]
+_PLAIN_GROUPS += [_centre_quotient(Unitriangular(3, 5)), _general_quotient(FiniteAbelian((12,)), (4,)),
+                  _general_quotient(Unitriangular(3, 3), (1, 1, 0))]
+
+
+def _plain_pool(G):
+    if G.is_finite():
+        return sorted({G.reduce(c) for c in (G.base if isinstance(G, QuotientView) else G).iter_coords()})
+    return sorted(G.reduce(c) for c in itertools.product(range(-2, 3), repeat=G.arity))
+
+
+_PLAIN_POOLS = {G: _plain_pool(G) for G in _PLAIN_GROUPS}
+
+
+@st.composite
+def _plain_product_case(draw):
+    """Two drawn sets, each with 1 or without it, and a budget around the pairs."""
+    G = draw(st.sampled_from(_PLAIN_GROUPS))
+    one = G.identity_coords()
+
+    def operand():
+        cs = set(draw(st.lists(st.sampled_from(_PLAIN_POOLS[G]), min_size=1, max_size=7)))
+        cs = (cs | {one}) if draw(st.booleans()) else (cs - {one} or {_PLAIN_POOLS[G][-1]})
+        return GSet(G, cs, _reduced=True)
+
+    A, B = operand(), operand()
+    pairs = len(A) * len(B)
+    return A, B, draw(st.sampled_from([pairs - 1, pairs, pairs + 5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_product_case())
+def test_product_with_the_identity_in_either_operand_matches_the_double_loop(case):
+    A, B, budget = case
+    try:
+        got = product(A, B, budget).members
+    except BudgetExceeded as e:
+        got = (e.op, e.needed)
+    assert got == ref_product(A, B, budget)
+
+
+def test_product_takes_the_identity_row_without_a_product(monkeypatch):
+    # {0, 1, 2} + {0, 5, 7, 9} takes the rows 1 + B and 2 + B only, and
+    # B + {0, 1, 2} the columns B + 1 and B + 2.
+    G = FiniteAbelian((101,))
+    A, B = _gs(G, [0, 1, 2]), _gs(G, [0, 5, 7, 9])
+    expected = ref_product(A, B, 100)
+    rows = []
+    left, right = FiniteAbelian.left_row, FiniteAbelian.right_row
+    monkeypatch.setattr(FiniteAbelian, "left_row", lambda self, a, bs: rows.append(a) or left(self, a, bs))
+    monkeypatch.setattr(FiniteAbelian, "right_row", lambda self, as_, b: rows.append(b) or right(self, as_, b))
+    assert product(A, B).members == expected
+    assert sorted(rows) == [(1,), (2,)]
+    rows.clear()
+    assert product(B, A).members == expected
+    assert sorted(rows) == [(1,), (2,)]
 
 
 # --------------------------------------------------------------------------

@@ -561,3 +561,38 @@ def test_worker_count_is_clamped():
     assert worker_count(10**9, 2) <= 2
     with pytest.raises(FormatError):
         worker_count(0, 10, cpus=8)
+
+
+def _fake_checkout(root: pathlib.Path, correct=True, **values) -> pathlib.Path:
+    """A tree whose perfbench/run.py prints fixed end-to-end metrics."""
+    (root / "src" / "growthlab").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": values.get(m["name"], 1.0), "unit": m["unit"]} for m in bench["end_to_end"]}
+    line = json.dumps({"correct": correct, "attempted": 1, "failed": 0, "metrics": metrics})
+    (root / "perfbench" / "run.py").write_text(f"print({line!r})\n")
+    return root
+
+
+def _harness(*argv):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "harness_pairs.py"), *map(str, argv)],
+                          capture_output=True, text=True)
+
+
+def test_harness_pairs_reports_each_metric_against_its_bound(tmp_path):
+    base = _fake_checkout(tmp_path / "base", pass_s=1.0, peak_rss_mb=30.0)
+    change = _fake_checkout(tmp_path / "change", pass_s=0.8, peak_rss_mb=33.5)
+    run = _harness(base, change, "--workload", "abelian-batch", "--seed", "3", "--pairs", "2")
+    assert run.returncode == 0, run.stderr
+    lines = {line.split(" ")[0]: line for line in run.stdout.splitlines()}
+    assert "ratio 0.8000, change won 2 of 2 pairs (0 ties), a gain, within its bound" in lines["pass_s"]
+    assert "ratio 1.1167" in lines["peak_rss_mb"] and "WORSE than its bound" in lines["peak_rss_mb"]
+    assert "won 0 of 2 pairs (2 ties), no gain, within its bound" in lines["setup_s"]
+
+    broken = _fake_checkout(tmp_path / "broken", correct=False)
+    assert _harness(base, broken, "--workload", "abelian-batch", "--pairs", "1").returncode == 1
+    for argv in ((base, change, "--workload", "abelian-batch", "--pairs", "0"),
+                 (base, change, "--workload", "abelian-batch", "--pairs", "1", "--seed", "-1"),
+                 (base, change, "--workload", "no-such-workload", "--pairs", "1"),
+                 (base, tmp_path / "missing", "--workload", "abelian-batch", "--pairs", "1")):
+        assert _harness(*argv).returncode == 2
